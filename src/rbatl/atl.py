@@ -1,4 +1,15 @@
-"""One-step controllable predecessors and the unbounded fixpoint labelling.
+"""One-step controllable predecessors and the set fixpoints over them.
+
+`pre(m, A, X, b, mode)` is the set of states where coalition A has a move
+within bound b whose outcomes all land in X.  Every set labelling in the
+package is one of two fixpoints over it, computed by `fixpoint`:
+
+  until  <<A>> (hold U base):  least     muX. base | (hold & pre(X))
+  always <<A>> G hold:         greatest  nuX. hold & (base | pre(X))
+
+with base empty for a plain always.  The all-INF modalities of the general
+checker use them directly; the consumption-only engine uses them with the
+free bound `proj_inf(b)` and a base seeded from the split ladder.
 
 Three semantics modes share the machinery and differ in two knobs: whether a
 move with no outcomes counts (it does not without the idle discipline) and
@@ -10,10 +21,9 @@ from __future__ import annotations
 
 import enum
 
-from .errors import EngineError, ModelError
+from .errors import EngineError, FormulaError, ModelError
 from .formula import (
     And,
-    CoalitionAlways,
     CoalitionNext,
     CoalitionUntil,
     FalseConst,
@@ -22,10 +32,13 @@ from .formula import (
     Or,
     Prop,
     TrueConst,
+    children,
+    format_formula,
     is_modal,
+    sub_ordered,
 )
-from .model import JointAction, Model
-from .vectors import Vec, all_inf, is_all_inf, vec_leq, zeros
+from .model import JointAction, Model, validate_model
+from .vectors import Vec, is_all_inf, vec_leq, zeros
 
 
 class Semantics(enum.Enum):
@@ -83,12 +96,40 @@ def pre(m: Model, coalition, rho, bound: Vec, mode: Semantics = Semantics.RBATL
     return frozenset(result)
 
 
+def fixpoint(m: Model, coalition, hold, base, bound: Vec,
+             mode: Semantics = Semantics.RBATL, *, greatest: bool = False,
+             closed=None) -> frozenset[str]:
+    """muX. base | (hold & pre(X)), or nuX. hold & (base | pre(X)) when
+    `greatest`, with pre taken under `bound`.
+
+    The greatest form starts from hold.  The least form starts from base,
+    or from `closed` when given: a part of the answer that is already
+    closed (hold & pre(closed) <= closed), in which case no `pre` call is
+    spent when base adds nothing to it.
+    """
+    if greatest:
+        rho = hold
+        while True:
+            nxt = hold & (base | pre(m, coalition, rho, bound, mode))
+            if nxt == rho:
+                return rho
+            rho = nxt
+    if closed is None:
+        rho, tau = base, hold & pre(m, coalition, base, bound, mode)
+    else:
+        rho, tau = closed, base
+    while not tau <= rho:
+        rho = rho | tau
+        tau = hold & pre(m, coalition, rho, bound, mode)
+    return rho
+
+
 def atl_label(m: Model, f: Formula, lower: dict, mode: Semantics = Semantics.RBATL
               ) -> frozenset[str]:
     """Label one formula given labels for its strict subformulas.
 
     Propositions and connectives are set algebra; modalities must carry the
-    all-INF bound and are solved by the standard fixpoints over `pre`.
+    all-INF bound and are solved by `pre` and `fixpoint`.
     """
     states = m.state_set()
     if isinstance(f, TrueConst):
@@ -110,41 +151,42 @@ def atl_label(m: Model, f: Formula, lower: dict, mode: Semantics = Semantics.RBA
             "atl_label only handles all-inf bounds; finite bounds go to the "
             "bounded checker"
         )
-    top = all_inf(m.r)
     if isinstance(f, CoalitionNext):
-        return pre(m, f.coalition, lower[f.child], top, mode)
+        return pre(m, f.coalition, lower[f.child], f.bound, mode)
     if isinstance(f, CoalitionUntil):
-        goal, hold = lower[f.goal], lower[f.hold]
-        rho: frozenset[str] = frozenset()
-        while True:
-            nxt = goal | (hold & pre(m, f.coalition, rho, top, mode))
-            if nxt == rho:
-                return rho
-            rho = nxt
-    if isinstance(f, CoalitionAlways):
-        hold = lower[f.child]
-        rho = states
-        while True:
-            nxt = hold & pre(m, f.coalition, rho, top, mode)
-            if nxt == rho:
-                return rho
-            rho = nxt
-    raise EngineError(f"unknown modality: {f!r}")
+        return fixpoint(m, f.coalition, lower[f.hold], lower[f.goal], f.bound,
+                        mode)
+    return fixpoint(m, f.coalition, lower[f.child], frozenset(), f.bound, mode,
+                    greatest=True)
 
 
 def eval_propositional(m: Model, f: Formula) -> frozenset[str]:
-    """Evaluate a modality-free formula directly against the labelling."""
-    states = m.state_set()
-    if isinstance(f, TrueConst):
-        return states
-    if isinstance(f, FalseConst):
-        return frozenset()
-    if isinstance(f, Prop):
-        return m.proposition_states(f.name)
-    if isinstance(f, Not):
-        return states - eval_propositional(m, f.child)
-    if isinstance(f, Or):
-        return eval_propositional(m, f.left) | eval_propositional(m, f.right)
-    if isinstance(f, And):
-        return eval_propositional(m, f.left) & eval_propositional(m, f.right)
-    raise ModelError(f"formula is not propositional: {f!r}")
+    """Label a modality-free formula from the model's propositions."""
+    labels: dict = {}
+    for g in sub_ordered(f):
+        if is_modal(g):
+            raise ModelError(f"formula is not propositional: {f!r}")
+        labels[g] = atl_label(m, g, labels)
+    return labels[f]
+
+
+def check_inputs(m: Model, f0: Formula) -> None:
+    """Reject an invalid model, or a formula whose bounds or propositions
+    do not fit the model, before any labelling starts."""
+    violations = validate_model(m)
+    if violations:
+        raise ModelError("invalid model: " + "; ".join(violations))
+    problems = set()
+    stack = [f0]
+    while stack:
+        f = stack.pop()
+        stack.extend(children(f))
+        if is_modal(f) and len(f.bound) != m.r:
+            problems.add(
+                f"bound of length {len(f.bound)} does not match the model's "
+                f"{m.r} resources in {format_formula(f)}"
+            )
+        if isinstance(f, Prop) and f.name not in m.labels:
+            problems.add(f"proposition {f.name!r} not declared in model")
+    if problems:
+        raise FormulaError("; ".join(sorted(problems)))

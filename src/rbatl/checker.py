@@ -18,15 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atl import Semantics, affordable, atl_label, pre
-from .errors import EngineError, FormulaError, ModelError
+from .atl import Semantics, affordable, atl_label, check_inputs, pre
+from .errors import EngineError, ModelError
 from .formula import (
     CoalitionAlways,
     CoalitionNext,
     CoalitionUntil,
     Formula,
-    Prop,
-    children,
     format_formula,
     is_modal,
     sub_ordered,
@@ -238,25 +236,6 @@ def box_strategy(m: Model, node: SearchNode, f: CoalitionAlways, labels,
     return (holds, wn) if witness else holds
 
 
-def _check_formula_against_model(m: Model, f0: Formula):
-    problems = []
-
-    def walk(f):
-        if is_modal(f) and len(f.bound) != m.r:
-            problems.append(
-                f"bound of length {len(f.bound)} does not match the model's "
-                f"{m.r} resources in {format_formula(f)}"
-            )
-        if isinstance(f, Prop) and f.name not in m.labels:
-            problems.append(f"proposition {f.name!r} not declared in model")
-        for c in children(f):
-            walk(c)
-
-    walk(f0)
-    if problems:
-        raise FormulaError("; ".join(sorted(set(problems))))
-
-
 def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
                 use_cache: bool = False, stats: SearchStats | None = None
                 ) -> dict[Formula, frozenset[str]]:
@@ -266,12 +245,7 @@ def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
     the classical fixpoints; bounded next is a single predecessor step;
     bounded until/always run the tree searches from every state.
     """
-    from .model import validate_model
-
-    violations = validate_model(m)
-    if violations:
-        raise ModelError("invalid model: " + "; ".join(violations))
-    _check_formula_against_model(m, f0)
+    check_inputs(m, f0)
     if stats is None:
         stats = SearchStats()
     labels: dict[Formula, frozenset[str]] = {}

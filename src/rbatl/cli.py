@@ -2,7 +2,8 @@
 
 Exit codes for `check`: 0 when the designated state satisfies the formula
 (or no state was designated and checking succeeded), 1 when the designated
-state fails it, 2 on any input or usage error.
+state fails it, 2 on any input or usage error, 3 on an internal error (the
+traceback goes to stderr).  Codes 2 and 3 hold for every subcommand.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .atl import Semantics, eval_propositional
@@ -26,7 +28,7 @@ from .modelio import load_model, save_model
 from .oracle import bounded_search
 from .parser import parse_formula
 from .petri import load_net, reduce_to_model
-from .symbolic import is_consumption_only, rb_atl_label
+from .symbolic import rb_atl_label
 from .witness import (
     concretize_until_witness,
     dump_witness,
@@ -37,7 +39,11 @@ from .witness import (
 def _read_formula_arg(arg: str) -> str:
     if arg.startswith("@"):
         return Path(arg[1:]).read_text().strip()
-    if Path(arg).is_file():
+    try:
+        is_file = Path(arg).is_file()
+    except OSError:  # e.g. a formula longer than a file name may be
+        is_file = False
+    if is_file:
         return Path(arg).read_text().strip()
     return arg
 
@@ -75,11 +81,6 @@ def cmd_check(args) -> int:
         if mode is not Semantics.RBATL:
             raise RBATLError(
                 "the symbolic engine only implements the rbatl semantics"
-            )
-        if not is_consumption_only(m):
-            raise RBATLError(
-                "the symbolic engine needs a consumption-only model; "
-                "this one produces resources"
             )
         labels = rb_atl_label(m, f0, mode)
     else:
@@ -266,6 +267,10 @@ def main(argv=None) -> int:
     except (RBATLError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("error: internal error (traceback above)", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

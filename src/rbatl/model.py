@@ -10,6 +10,7 @@ which keeps every downstream search and witness reproducible.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ModelError
@@ -158,8 +159,8 @@ def validate_model(m: Model) -> list[str]:
         errs.append("model has no agents")
     for coll, kind in ((m.states, "state"), (m.agents, "agent"),
                        (m.resources, "resource")):
-        dupes = {x for x in coll if list(coll).count(x) > 1}
-        for d in sorted(dupes):
+        counts = Counter(coll)
+        for d in sorted(x for x, n in counts.items() if n > 1):
             errs.append(f"duplicate {kind} name {d!r}")
     known = set(m.states)
     for prop, ss in sorted(m.labels.items()):

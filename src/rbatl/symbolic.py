@@ -1,24 +1,29 @@
 """Fixpoint labelling for consumption-only models.
 
 Without production, availability only shrinks, so bounded until/always can
-be solved by pure set fixpoints over an extended subformula ladder instead
-of tree search: a strategy under bound b either spends nothing forever (the
-{0,INF}-bound base cases) or takes free steps until it spends some non-zero
-d, continuing under d' = b - d, whose label sits earlier in the ladder.
+be solved by set fixpoints over an extended subformula ladder instead of
+tree search.  Under bound b a strategy either spends nothing on the finite
+components for good, or takes such free steps until it spends some non-zero
+d and continues under d' = b - d, whose label sits earlier in the ladder.
+With free = proj_inf(b), Z the label under free, and
 
-The printed ladder accumulates only predecessor images, so we additionally
-seed each general-bound case with the zero-spend region's label (for until
-that region contains the goal states themselves); without the seed a goal
-state that fails the invariant would never be labelled and the engine would
-disagree with the tree search.
+  S = union over (d, d') in split(b) of hold & pre(L[d'], d)
+
+the states that can spend now, the labels are
+
+  until:   muX. goal | S | (hold & pre_free(X)),  started from Z
+  always:  nuX. hold & (S | pre_free(X))
+
+Z is closed under the free step, so the until costs no `pre` call beyond
+the split pairs when S adds nothing to Z.  For bounds with only 0/INF
+components, b = free, S is empty and the fixpoints are the plain ones.
 """
 
 from __future__ import annotations
 
-from .atl import Semantics, atl_label, pre
-from .errors import EngineError, ModelError
+from .atl import Semantics, atl_label, check_inputs, fixpoint, pre
+from .errors import EngineError
 from .formula import (
-    CoalitionAlways,
     CoalitionNext,
     CoalitionUntil,
     Formula,
@@ -26,9 +31,8 @@ from .formula import (
     sub_plus,
     with_bound,
 )
-from .model import Model, validate_model
-from .vectors import INF, proj_inf, split  # re-exported: split is this engine's ladder
-from .checker import _check_formula_against_model
+from .model import Model
+from .vectors import proj_inf, split  # re-exported: split is this engine's ladder
 
 __all__ = ["split", "rb_atl_label", "is_consumption_only"]
 
@@ -43,72 +47,37 @@ def is_consumption_only(m: Model) -> bool:
     )
 
 
-def _zero_or_inf(bound) -> bool:
-    return all(x is INF or x == 0 for x in bound)
-
-
-def _until_flat(m, f, labels, mode):
-    """Direct least fixpoint for bounds with only 0/INF components."""
-    goal, hold = labels[f.goal], labels[f.hold]
-    rho: frozenset[str] = frozenset()
-    tau = goal
-    while not tau <= rho:
-        rho = rho | tau
-        tau = pre(m, f.coalition, rho, f.bound, mode) & hold
-    return rho
-
-
-def _always_flat(m, f, labels, mode):
-    """Direct greatest fixpoint for bounds with only 0/INF components."""
-    hold = labels[f.child]
-    rho = m.state_set()
-    tau = hold
-    while not rho <= tau:
-        rho = tau
-        tau = pre(m, f.coalition, rho, f.bound, mode) & hold
-    return rho
-
-
-def _ladder(m, f, labels, mode):
-    """General-bound case: one predecessor step per split pair, closed under
-    free steps, seeded with the zero-spend region."""
-    hold = labels[f.hold] if isinstance(f, CoalitionUntil) else labels[f.child]
+def _label_bounded(m, f, labels, mode):
+    """One until/always label under any bound, as the module docstring says."""
+    until = isinstance(f, CoalitionUntil)
+    hold = labels[f.hold] if until else labels[f.child]
+    base = labels[f.goal] if until else frozenset()
     free = proj_inf(f.bound)
-    rho = labels[with_bound(f, free)]
-    for d, dprime in split(f.bound):
-        tau = pre(m, f.coalition, labels[with_bound(f, dprime)], d, mode) & hold
-        while not tau <= rho:
-            rho = rho | tau
-            tau = pre(m, f.coalition, rho, free, mode) & hold
-    return rho
+    closed = None
+    if free != f.bound:
+        closed = labels[with_bound(f, free)]
+        for d, dprime in split(f.bound):
+            base = base | (hold & pre(m, f.coalition,
+                                      labels[with_bound(f, dprime)], d, mode))
+    return fixpoint(m, f.coalition, hold, base, free, mode,
+                    greatest=not until, closed=closed)
 
 
 def rb_atl_label(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL
                  ) -> dict[Formula, frozenset[str]]:
     """Label every formula in sub_plus(f0) over a consumption-only model."""
-    violations = validate_model(m)
-    if violations:
-        raise ModelError("invalid model: " + "; ".join(violations))
+    check_inputs(m, f0)
     if not is_consumption_only(m):
         raise EngineError(
-            "model produces resources; use the general checker instead"
+            "model produces resources; the symbolic engine needs a "
+            "consumption-only model, use the general checker instead"
         )
-    _check_formula_against_model(m, f0)
     labels: dict[Formula, frozenset[str]] = {}
     for f in sub_plus(f0):
         if not is_modal(f):
             labels[f] = atl_label(m, f, labels, mode)
         elif isinstance(f, CoalitionNext):
             labels[f] = pre(m, f.coalition, labels[f.child], f.bound, mode)
-        elif _zero_or_inf(f.bound):
-            if isinstance(f, CoalitionUntil):
-                labels[f] = _until_flat(m, f, labels, mode)
-            else:
-                labels[f] = _always_flat(m, f, labels, mode)
-        elif isinstance(f, CoalitionUntil):
-            labels[f] = _ladder(m, f, labels, mode)
-        elif isinstance(f, CoalitionAlways):
-            labels[f] = _ladder(m, f, labels, mode)
         else:
-            raise EngineError(f"unknown modality {f!r}")
+            labels[f] = _label_bounded(m, f, labels, mode)
     return labels

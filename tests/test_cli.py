@@ -96,6 +96,38 @@ def test_check_symbolic_engine(chain, tmp_path, capsys):
     assert code == 1
 
 
+def test_check_long_literal_formula(chain, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(dump_model(chain))
+    text = " | ".join(["<{a}: 2> (true U p)"] * 25)
+    assert len(text.encode()) >= 400  # longer than a file name may be
+    code, out, _ = run(capsys, "check", path, text, "--state", "c0")
+    assert code == 0
+    assert "state c0: SAT" in out
+
+
+def test_internal_error_exits_three(chain, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(dump_model(chain))
+    deep = tmp_path / "deep.txt"
+    deep.write_text("!" * 3000 + "p")
+    code, out, err = run(capsys, "check", path, f"@{deep}", "--state", "c0")
+    assert code == 3
+    assert "Traceback" in err and "RecursionError" in err
+    assert "UNSAT" not in out
+
+
+def test_keyboard_interrupt_is_not_caught(fig1_path, monkeypatch):
+    import rbatl.cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(rbatl.cli, "cmd_check", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", str(fig1_path), "p"])
+
+
 def test_check_symbolic_rejects_production(fig1_path, capsys):
     code, _, err = run(capsys, "check", fig1_path, "p",
                        "--engine", "symbolic")

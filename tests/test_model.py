@@ -15,6 +15,15 @@ def test_fig1_is_well_formed(fig1):
     assert validate_model(fig1) == []
 
 
+def test_duplicate_names_reported_once_each_in_sorted_order():
+    m = Model(agents=["b", "a", "b"], resources=["r", "r"],
+              states=["t", "s", "t", "s", "t"], labels={}, actions={},
+              transitions={}, total=False)
+    dupes = [e for e in validate_model(m) if "duplicate" in e]
+    assert dupes == ["duplicate state name 's'", "duplicate state name 't'",
+                     "duplicate agent name 'b'", "duplicate resource name 'r'"]
+
+
 def test_cost_joint_examples(fig1):
     grand_idle = ja(["a1", "a2"], ["idle", "idle"])
     assert fig1.cost_joint("s_I", grand_idle) == (0, 0)

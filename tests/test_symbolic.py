@@ -5,6 +5,7 @@ import pytest
 from rbatl import (
     EngineError,
     INF,
+    Model,
     Semantics,
     model_check,
     parse_formula,
@@ -61,16 +62,69 @@ def test_ladder_uses_split_variants(chain):
         assert parse_formula(text) in labels
 
 
-def test_engine_agreement_random():
+def _no_affordable_move():
+    """u can only pay 1 to reach v; under a zero budget it has no move."""
+    return Model(
+        agents=["a0"], resources=["e"], states=["u", "v"], labels={},
+        actions={"u": {"a0": {"pay": (1,)}}, "v": {"a0": {"idle": (0,)}}},
+        transitions={"u": {("pay",): "v"}, "v": {("idle",): "v"}},
+        total=False,
+    )
+
+
+def _free_loop_then_spend():
+    """From s, a0's free go leads to o1 or o2 as a1 chooses; o1 goes back
+    to s for free, o2 pays 1 to reach the free loop z.  Under budget 1, a0
+    keeps h forever from s, o1, o2 and z: the loop through o1 is free and
+    the one spend happens at o2.  x is the one state without h."""
+    free, idle = (0,), {"idle": (0,)}
+    return Model(
+        agents=["a0", "a1"], resources=["e"],
+        states=["s", "o1", "o2", "z", "x"],
+        labels={"h": ["s", "o1", "o2", "z"]},
+        actions={
+            "s": {"a0": {"go": free}, "a1": {"l": free, "r": free}},
+            "o1": {"a0": {"back": free}, "a1": idle},
+            "o2": {"a0": {"pay": (1,)}, "a1": idle},
+            "z": {"a0": idle, "a1": idle},
+            "x": {"a0": idle, "a1": idle},
+        },
+        transitions={
+            "s": {("go", "l"): "o1", ("go", "r"): "o2"},
+            "o1": {("back", "idle"): "s"},
+            "o2": {("pay", "idle"): "z"},
+            "z": {("idle", "idle"): "z"},
+            "x": {("idle", "idle"): "x"},
+        },
+        total=False,
+    )
+
+
+def _agreement_cases():
     rng = random.Random(41)
     for _ in range(40):
         m = modelgen.random_consumption_model(rng)
+        yield m, modelgen.random_formula(rng, m), Semantics.RBATL
+    for seed in range(60):
+        rng = random.Random(seed)
+        m = modelgen.random_consumption_model(rng, total=False)
         f = modelgen.random_formula(rng, m)
-        tree_labels = model_check(m, f)
-        sym_labels = rb_atl_label(m, f)
+        for mode in (Semantics.RBATL, Semantics.NT):
+            yield m, f, mode
+    rng = random.Random(159)  # once gave a wrong <{a1}: 2,2> G label
+    m = modelgen.random_consumption_model(rng)
+    yield m, modelgen.random_formula(rng, m), Semantics.RBATL
+    yield _no_affordable_move(), parse_formula("<{a0}: 0> G true"), Semantics.RBATL
+    yield _free_loop_then_spend(), parse_formula("<{a0}: 1> G h"), Semantics.RBATL
+
+
+def test_engine_agreement_random():
+    for m, f, mode in _agreement_cases():
+        tree_labels = model_check(m, f, mode)
+        sym_labels = rb_atl_label(m, f, mode)
         for g in sub_ordered(f):
-            assert tree_labels[g] == sym_labels[g], (g, sorted(tree_labels[g]),
-                                                     sorted(sym_labels[g]))
+            assert tree_labels[g] == sym_labels[g], (
+                mode, g, sorted(tree_labels[g]), sorted(sym_labels[g]))
 
 
 def test_engine_agreement_with_inf_components():
