@@ -11,10 +11,9 @@ with base empty for a plain always.  The all-INF modalities of the general
 checker use them directly; the consumption-only engine uses them with the
 free bound `proj_inf(b)` and a base seeded from the split ladder.
 
-Three semantics modes share the machinery and differ in two knobs: whether a
-move with no outcomes counts (it does not without the idle discipline) and
-which per-step budget filter applies (net joint cost, or the per-resource
-consumption sum that ignores same-step production).
+The three semantics modes differ only in `moves`, the one place where their
+rules live; every search, fixpoint and certificate check takes its moves
+from it, except the oracle, which keeps its own loops as the reference.
 """
 
 from __future__ import annotations
@@ -64,32 +63,49 @@ def consumption_joint(m: Model, state: str, ja: JointAction) -> Vec:
     return tuple(total)
 
 
-def step_budget(m: Model, state: str, ja: JointAction, mode: Semantics) -> Vec:
-    """What the step must fit under the available budget in this mode."""
+def step_costs(m: Model, state: str, ja: JointAction, mode: Semantics
+               ) -> tuple[Vec, Vec]:
+    """(net joint cost, step budget): the budget is what the step must fit
+    under the availability in this mode, the net cost except under
+    ral-finite, where it is the consumption sum."""
+    cost = m.cost_joint(state, ja)
     if mode is Semantics.RAL_FINITE:
-        return consumption_joint(m, state, ja)
-    return m.cost_joint(state, ja)
+        return cost, consumption_joint(m, state, ja)
+    return cost, cost
 
 
-def affordable(m: Model, state: str, ja: JointAction, avail: Vec,
-               mode: Semantics) -> bool:
-    return vec_leq(step_budget(m, state, ja, mode), avail)
+def move(m: Model, state: str, ja: JointAction, avail: Vec, mode: Semantics):
+    """(ja, net cost, step budget, outcomes) if ja's step budget fits avail
+    and the move counts in this mode, else None.  A move with no outcomes
+    counts only under rbatl.  Outcomes are computed only for a move that
+    fits."""
+    cost, need = step_costs(m, state, ja, mode)
+    if not vec_leq(need, avail):
+        return None
+    outs = m.outcomes(state, ja)
+    if not outs and mode is not Semantics.RBATL:
+        return None
+    return ja, cost, need, outs
+
+
+def moves(m: Model, state: str, agents, avail: Vec, mode: Semantics):
+    """Every move of the coalition at state under avail, as `move` gives
+    it, in `coalition_actions` order."""
+    for ja in m.coalition_actions(state, agents):
+        mv = move(m, state, ja, avail, mode)
+        if mv is not None:
+            yield mv
 
 
 def pre(m: Model, coalition, rho, bound: Vec, mode: Semantics = Semantics.RBATL
         ) -> frozenset[str]:
     """States where the coalition has a move within `bound` whose outcomes
-    all land in rho (and exist, outside the total-model semantics)."""
+    all land in rho."""
     agents = m.normalize_coalition(coalition)
     target = set(rho)
     result = set()
     for s in m.states:
-        for ja in m.coalition_actions(s, agents):
-            if not affordable(m, s, ja, bound, mode):
-                continue
-            outs = m.outcomes(s, ja)
-            if mode is not Semantics.RBATL and not outs:
-                continue
+        for _, _, _, outs in moves(m, s, agents, bound, mode):
             if all(o in target for o in outs):
                 result.add(s)
                 break

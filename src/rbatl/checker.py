@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atl import Semantics, affordable, atl_label, check_inputs, pre
+from .atl import Semantics, atl_label, check_inputs, moves, pre
 from .errors import EngineError, ModelError
 from .formula import (
     CoalitionAlways,
@@ -59,7 +59,6 @@ class SearchNode:
     state: str
     avail: Vec
     path: tuple["SearchNode", ...] = ()
-    gen_action: object = None
 
 
 def node0(state: str, bound: Vec) -> SearchNode:
@@ -134,20 +133,18 @@ class _Search:
                     self.stats.cache_hits += 1
                     return True, None, _NO_PUMP
         depth = len(node.path)
-        eff = SearchNode(s, avail, node.path, node.gen_action)
-        child_path = node.path + (eff,)
-        for ja in self.m.coalition_actions(s, self.agents):
-            if not affordable(self.m, s, ja, avail, self.mode):
-                continue
-            after = bound_minus_cost(avail, self.m.cost_joint(s, ja))
+        child_path = node.path + (SearchNode(s, avail, node.path),)
+        for ja, cost, _, outs in moves(self.m, s, self.agents, avail,
+                                       self.mode):
+            after = bound_minus_cost(avail, cost)
             if after is None:
                 raise EngineError("availability underflow past the cost filter")
             ok = True
             kids = {}
             sub_anchor = anchor
-            for o in self.m.outcomes(s, ja):
+            for o in outs:
                 holds, wn, child_anchor = self.until(
-                    SearchNode(o, after, child_path, ja)
+                    SearchNode(o, after, child_path)
                 )
                 if not holds:
                     ok = False
@@ -193,16 +190,15 @@ class _Search:
                                      loopback=i)
                 return True, wn
         child_path = node.path + (node,)
-        for ja in self.m.coalition_actions(s, self.agents):
-            if not affordable(self.m, s, ja, node.avail, self.mode):
-                continue
-            after = bound_minus_cost(node.avail, self.m.cost_joint(s, ja))
+        for ja, cost, _, outs in moves(self.m, s, self.agents, node.avail,
+                                       self.mode):
+            after = bound_minus_cost(node.avail, cost)
             if after is None:
                 raise EngineError("availability underflow past the cost filter")
             ok = True
             kids = {}
-            for o in self.m.outcomes(s, ja):
-                holds, wn = self.box(SearchNode(o, after, child_path, ja))
+            for o in outs:
+                holds, wn = self.box(SearchNode(o, after, child_path))
                 if not holds:
                     ok = False
                     break

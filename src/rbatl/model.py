@@ -30,9 +30,6 @@ class JointAction:
         if len(self.agents) != len(self.actions):
             raise ModelError("joint action arity mismatch")
 
-    def choice(self, agent: str) -> str:
-        return self.actions[self.agents.index(agent)]
-
     def __repr__(self):
         inner = ",".join(f"{a}={x}" for a, x in zip(self.agents, self.actions))
         return f"({inner})"
@@ -111,9 +108,6 @@ class Model:
         agents = self.normalize_coalition(coalition)
         menus = [self.available(state, a) for a in agents]
         return [JointAction(agents, combo) for combo in itertools.product(*menus)]
-
-    def full_joint_actions(self, state: str) -> list[JointAction]:
-        return self.coalition_actions(state, self.agents)
 
     def cost_joint(self, state: str, ja: JointAction) -> Vec:
         """Componentwise sum of the members' action costs."""

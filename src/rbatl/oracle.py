@@ -8,7 +8,7 @@ never False, because unbounded production can hide deeper witnesses.
 
 from __future__ import annotations
 
-from .atl import Semantics, affordable
+from .atl import Semantics, step_costs
 from .errors import EngineError
 from .model import Model
 from .vectors import Vec, bound_minus_cost, vec_leq
@@ -54,12 +54,13 @@ def _until(m, agents, phi, psi, mode, state, avail, fuel):
         return _UNK
     best = _FALSE
     for ja in m.coalition_actions(state, agents):
-        if not affordable(m, state, ja, avail, mode):
+        cost, need = step_costs(m, state, ja, mode)
+        if not vec_leq(need, avail):
             continue
         outs = m.outcomes(state, ja)
         if mode is not Semantics.RBATL and not outs:
             continue  # a deadlocked play never reaches the goal
-        nxt = bound_minus_cost(avail, m.cost_joint(state, ja))
+        nxt = bound_minus_cost(avail, cost)
         sub = _merge_outcomes(
             _until(m, agents, phi, psi, mode, o, nxt, fuel - 1) for o in outs
         )
@@ -81,12 +82,13 @@ def _box(m, agents, phi, mode, state, avail, path, fuel):
     longer = path + ((state, avail),)
     best = _FALSE
     for ja in m.coalition_actions(state, agents):
-        if not affordable(m, state, ja, avail, mode):
+        cost, need = step_costs(m, state, ja, mode)
+        if not vec_leq(need, avail):
             continue
         outs = m.outcomes(state, ja)
         if mode is not Semantics.RBATL and not outs:
             continue  # a deadlocked play is not an infinite play
-        nxt = bound_minus_cost(avail, m.cost_joint(state, ja))
+        nxt = bound_minus_cost(avail, cost)
         sub = _merge_outcomes(
             _box(m, agents, phi, mode, o, nxt, longer, fuel - 1) for o in outs
         )

@@ -25,12 +25,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .atl import Semantics, affordable, pre, step_budget
+from .atl import Semantics, move, moves, step_costs
 from .errors import ModelError, VectorError, WitnessError
 from .model import JointAction, Model
 from .vectors import (
     INF,
     Vec,
+    all_inf,
     bound_minus_cost,
     clamp0,
     vec_add,
@@ -253,12 +254,12 @@ def validate_witness(m: Model, tree: WitnessTree, *, phi_states,
         if tuple(ja.agents) != agents:
             return False
         try:
-            if not affordable(m, node.state, ja, node.avail, mode):
-                return False
-            cost = m.cost_joint(node.state, ja)
-            outs = m.outcomes(node.state, ja)
+            mv = move(m, node.state, ja, node.avail, mode)
         except (ModelError, VectorError):
             return False
+        if mv is None:
+            return False
+        _, cost, _, outs = mv
         if set(outs) != set(node.children):
             return False
         child_avail = bound_minus_cost(node.avail, cost)
@@ -289,24 +290,20 @@ def _attractor(m: Model, agents, phi, psi, mode):
     """
     choice: dict[str, JointAction | None] = {s: None for s in psi}
     need: dict[str, Vec] = {s: zeros(m.r) for s in psi}
+    unbounded = all_inf(m.r)
     changed = True
     while changed:
         changed = False
         for s in m.states:
             if s in choice or s not in phi:
                 continue
-            for ja in m.coalition_actions(s, agents):
-                outs = m.outcomes(s, ja)
-                if mode is not Semantics.RBATL and not outs:
-                    continue
+            for ja, cost, step, outs in moves(m, s, agents, unbounded, mode):
                 if not all(o in choice for o in outs):
                     continue
-                cost = m.cost_joint(s, ja)
                 worst = zeros(m.r)
                 for o in outs:
                     worst = vec_max(worst, need[o])
-                need[s] = clamp0(vec_max(step_budget(m, s, ja, mode),
-                                         vec_add(cost, worst)))
+                need[s] = clamp0(vec_max(step, vec_add(cost, worst)))
                 choice[s] = ja
                 changed = True
                 break
@@ -397,11 +394,10 @@ class _Concretizer:
             return vec_max(need[node.state], self.targets)
         if node.kind != INTERNAL or node.action is None:
             raise WitnessError(f"malformed witness node kind {node.kind!r}")
-        cost = self.m.cost_joint(node.state, node.action)
+        cost, step = step_costs(self.m, node.state, node.action, self.mode)
         below = zeros(self.m.r)
         for child in node.children.values():
             below = vec_max(below, self.req(child))
-        step = step_budget(self.m, node.state, node.action, self.mode)
         return clamp0(vec_max(step, vec_add(cost, below)))
 
     def _loop_plan(self, node: WitnessNode, res: int, demand: Vec) -> _LoopPlan:
@@ -426,9 +422,8 @@ class _Concretizer:
             nxt = seg[k + 1]
             if pos.action is None or pos.children.get(nxt.state) is not nxt:
                 raise WitnessError("pumping loop does not follow the tree path")
-            cost = self.m.cost_joint(pos.state, pos.action)
+            cost, here = step_costs(self.m, pos.state, pos.action, self.mode)
             offs = [c for s, c in pos.children.items() if c is not nxt]
-            here = step_budget(self.m, pos.state, pos.action, self.mode)
             for off in offs:
                 here = vec_max(here, vec_add(cost, self.req(off)))
             for j in range(r):
@@ -542,15 +537,10 @@ def _research_until(m: Model, agents, start: str, bound, phi, psi, mode,
             return node
         if state not in phi or fuel == 0:
             return None
-        for ja in m.coalition_actions(state, agents):
-            if not affordable(m, state, ja, avail, mode):
-                continue
-            cost = m.cost_joint(state, ja)
+        for ja, cost, _, outs in moves(m, state, agents, avail, mode):
             after = bound_minus_cost(avail, cost)
-            if after is None:
-                continue
             kids = {}
-            for o in m.outcomes(state, ja):
+            for o in outs:
                 sub = rec(o, after, fuel - 1, memo)
                 if sub is None:
                     kids = None

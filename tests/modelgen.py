@@ -1,4 +1,5 @@
-"""Seeded random models, nets and formulas for the differential suites."""
+"""Seeded random models, nets and formulas for the differential suites,
+and small fixed games that the engines once disagreed on."""
 
 import itertools
 
@@ -52,6 +53,42 @@ def random_model(rng, *, max_states=6, n_agents=2, r=2, max_extra_actions=2,
 def random_consumption_model(rng, **kw):
     kw.setdefault("cost_lo", 0)
     return random_model(rng, **kw)
+
+
+def drop_transitions(rng, m, frac=0.3):
+    """A non-total copy of m without about frac of each state's transition
+    entries, so that one state can mix moves with and without outcomes."""
+    transitions = {
+        s: {combo: t for combo, t in moves.items() if rng.random() >= frac}
+        for s, moves in m.transitions.items()
+    }
+    return Model(agents=m.agents, resources=m.resources, states=m.states,
+                 labels=m.labels, actions=m.actions, transitions=transitions,
+                 total=False)
+
+
+def dead_end_until_game():
+    """At s, go costs 5 and reaches the p-state t; dead is free and has no
+    transition.  Under budget 1 only dead fits, and it counts only under
+    rbatl, so <{a}: 1> (true U p) holds at s under rbatl alone."""
+    return Model(
+        agents=["a"], resources=["e"], states=["s", "t"], labels={"p": ["t"]},
+        actions={"s": {"a": {"go": (5,), "dead": (0,)}},
+                 "t": {"a": {"stay": (0,)}}},
+        transitions={"s": {("go",): "t"}, "t": {("stay",): "t"}},
+        total=False,
+    )
+
+
+def dead_end_always_game():
+    """One state s: loop costs 1 and returns to s, dead is free and has no
+    transition.  <{a}: 0> G true holds at s under rbatl alone, by dead."""
+    return Model(
+        agents=["a"], resources=["e"], states=["s"], labels={},
+        actions={"s": {"a": {"loop": (1,), "dead": (0,)}}},
+        transitions={"s": {("loop",): "s"}},
+        total=False,
+    )
 
 
 def random_propositional(rng):

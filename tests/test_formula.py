@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +26,7 @@ from rbatl import (
     with_bound,
 )
 from rbatl.formula import children, is_modal
-from rbatl.vectors import all_inf, is_all_inf, vec_leq
+from rbatl.vectors import all_inf, is_all_inf
 
 
 def test_parse_until_example():
@@ -168,20 +171,53 @@ def test_sub_plus_inf_bound_adds_nothing():
     assert sub_plus(f) == sub_ordered(f)
 
 
+def bound_monotone(order):
+    """Whether each modality in order comes after every variant of it
+    (same type, coalition and children) with a pointwise smaller bound.
+
+    Per group, over the grid of the bounds' own component values (INF
+    last), latest[v] is the largest index of a variant whose bound is <= v.
+    Every strictly smaller bound is <= one of v's one-step-lower grid
+    points, so the check costs grid points times components, not pairs.
+    """
+    groups = {}
+    for i, g in enumerate(order):
+        if is_modal(g):
+            key = (type(g), g.coalition, children(g), len(g.bound))
+            groups.setdefault(key, {})[g.bound] = i
+    for at in groups.values():
+        r = len(next(iter(at)))
+        values = [sorted({b[k] for b in at}) for k in range(r)]
+        lower = [dict(zip(vs[1:], vs)) for vs in values]
+        latest = {}
+        for v in itertools.product(*values):
+            below = max((latest[v[:k] + (lower[k][v[k]],) + v[k + 1:]]
+                         for k in range(r) if v[k] in lower[k]), default=-1)
+            if v in at and at[v] < below:
+                return False
+            latest[v] = max(below, at.get(v, -1))
+    return True
+
+
 @given(formulas(depth=2))
 def test_sub_plus_is_bound_monotone_order(f):
     order = sub_plus(f)
     assert set(sub_ordered(f)) <= set(order)
-    index = {g: i for i, g in enumerate(order)}
-    for g in order:
-        if not is_modal(g):
-            continue
-        for h in order:
-            if (is_modal(h) and type(g) is type(h)
-                    and g.coalition == h.coalition
-                    and children(g) == children(h)
-                    and vec_leq(g.bound, h.bound) and g.bound != h.bound):
-                assert index[g] < index[h]
+    assert bound_monotone(order)
+
+
+def test_bound_monotone_rejects_misordered_variants():
+    f = CoalitionAlways(("a1",), (2, 1, INF), Prop("p"))
+    order = sub_plus(f)
+    assert bound_monotone(order)
+    shuffled = list(order)
+    random.Random(0).shuffle(shuffled)
+    assert not bound_monotone(shuffled)
+    # one swapped pair: a finite bound and the all-INF bound above it
+    i, j = order.index(f), order.index(with_bound(f, (INF, INF, INF)))
+    swapped = list(order)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert not bound_monotone(swapped)
 
 
 def test_ast_size():

@@ -111,11 +111,20 @@ def _agreement_cases():
         f = modelgen.random_formula(rng, m)
         for mode in (Semantics.RBATL, Semantics.NT):
             yield m, f, mode
+        # with some transitions dropped, one state can mix moves with and
+        # without outcomes (seeds 53 and 54 once disagreed under nt)
+        partial = modelgen.drop_transitions(rng, m)
+        for mode in Semantics:
+            yield partial, f, mode
     rng = random.Random(159)  # once gave a wrong <{a1}: 2,2> G label
     m = modelgen.random_consumption_model(rng)
     yield m, modelgen.random_formula(rng, m), Semantics.RBATL
     yield _no_affordable_move(), parse_formula("<{a0}: 0> G true"), Semantics.RBATL
     yield _free_loop_then_spend(), parse_formula("<{a0}: 1> G h"), Semantics.RBATL
+    for mode in (Semantics.NT, Semantics.RAL_FINITE):
+        yield (modelgen.dead_end_until_game(),
+               parse_formula("<{a}: 1> (true U p)"), mode)
+        yield modelgen.dead_end_always_game(), parse_formula("<{a}: 0> G true"), mode
 
 
 def test_engine_agreement_random():

@@ -82,6 +82,59 @@ def pump_loop_model():
     )
 
 
+def cross_branch_model(dead=False):
+    """At s, a's work pays 1 and leads to o1 or o2 as b chooses; both idle
+    back to s.  go costs 3 and reaches the p-state t.  With dead, a also
+    has a move costing 2 that has no transition, so the model is not total.
+
+    From s under budget 0 the search pumps once in each branch of work,
+    both against the root, so each loop's requirement needs the other's."""
+    idle = {"idle": (0,)}
+    menu = {"idle": (0,), "work": (-1,), "go": (3,)}
+    if dead:
+        menu["dead"] = (2,)
+    return Model(
+        agents=["a", "b"], resources=["e"], states=["s", "o1", "o2", "t"],
+        labels={"p": ["t"]},
+        actions={"s": {"a": menu, "b": {"idle": (0,), "x": (0,)}},
+                 "o1": {"a": idle, "b": idle}, "o2": {"a": idle, "b": idle},
+                 "t": {"a": idle, "b": idle}},
+        transitions={
+            "s": {("idle", "idle"): "s", ("idle", "x"): "s",
+                  ("work", "idle"): "o1", ("work", "x"): "o2",
+                  ("go", "idle"): "t", ("go", "x"): "t"},
+            "o1": {("idle", "idle"): "s"}, "o2": {("idle", "idle"): "s"},
+            "t": {("idle", "idle"): "t"},
+        },
+        total=not dead,
+    )
+
+
+@pytest.mark.parametrize("dead, mode", [(False, Semantics.RBATL),
+                                        (True, Semantics.NT)])
+def test_cross_branch_loops_fall_back_to_replay_search(monkeypatch, dead,
+                                                       mode):
+    import rbatl.witness
+
+    calls = []
+    research = rbatl.witness._research_until
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return research(*args, **kwargs)
+
+    monkeypatch.setattr(rbatl.witness, "_research_until", counted)
+    m = cross_branch_model(dead)
+    f, labels, tree = until_setup(m, "<{a}: 0> (true U p)", "s", mode)
+    phi, psi = labels[f.hold], labels[f.goal]
+    conc = concretize_until_witness(m, tree, phi_states=phi, psi_states=psi)
+    assert len(calls) == 1
+    assert validate_witness(m, conc, phi_states=phi, psi_states=psi)
+    # under nt the replay may not end a play on a move without outcomes
+    assert all(n.children for n in iter_nodes(conc.root)
+               if n.kind == INTERNAL)
+
+
 def test_repetition_count_matches_ceiling_formula():
     # gain 2 per iteration, availability 3 at the pumped node, target 8:
     # h = ceil((8 - 3) / 2) = 3 extra repetitions on top of the original one
@@ -117,6 +170,24 @@ def test_box_witness_loopbacks(fig1):
     kinds = {n.kind for n in iter_nodes(tree.root)}
     assert kinds <= {INTERNAL, LOOPBACK_LEAF}
     assert validate_witness(fig1, tree, phi_states=labels[f.child])
+
+
+def test_dead_end_move_counts_only_under_rbatl():
+    # the free move "dead" has no outcomes: a vacuous certificate for
+    # <{a}: 0> G true under rbatl, and no certificate under nt or ral-finite
+    m = modelgen.dead_end_always_game()
+    data = {
+        "format_version": 1, "kind": "box", "coalition": ["a"], "bound": [0],
+        "formula": "<{a}: 0> G true",
+        "root": {"state": "s", "entry_avail": [0], "avail": [0],
+                 "kind": INTERNAL,
+                 "action": {"agents": ["a"], "actions": ["dead"]},
+                 "children": {}, "pumped": {}},
+    }
+    for mode in Semantics:
+        tree = witness_from_dict(dict(data, mode=mode.value))
+        assert validate_witness(m, tree, phi_states={"s"}) == (
+            mode is Semantics.RBATL), mode
 
 
 def test_find_witness_returns_none_on_failure(fig1):
