@@ -7,7 +7,8 @@ resource pumps that component to INF, recording which ancestor loop backs
 the claim so certificates can later be made concrete.  The check order
 inside the searches is frozen:
 
-  until: unbounded-guard, dominance-false, pumping, goal, all-INF, moves
+  until: unbounded-guard, dominance-false, pumping, goal, all-INF,
+         success cache (not while recording a witness), moves
   always: unbounded-guard, strict-loss-false, loopback-true, moves
 
 Ancestors are compared against their availability as recorded when they
@@ -68,18 +69,18 @@ def node0(state: str, bound: Vec) -> SearchNode:
 class _Search:
     """One bounded-modality query context (model, coalition, labels)."""
 
-    def __init__(self, m, f, labels, mode, stats, collect=False, cache=None):
+    def __init__(self, m, f, labels, mode, stats, collect=False):
         self.m = m
         self.mode = mode
         self.stats = stats
         self.collect = collect
-        self.cache = cache
+        # until successes per state, as minimal availabilities; a hit has no
+        # subtree to record, so a recording search runs without one
+        self.cache = None if collect else {}
         self.agents = m.normalize_coalition(f.coalition)
         guard_formula = with_bound(f, all_inf(m.r))
         self.guard = labels[guard_formula]
         self.psi = labels[f.goal] if isinstance(f, CoalitionUntil) else None
-        if collect and cache is not None:
-            raise EngineError("witness collection cannot share the cache")
 
     def _visit(self, node):
         self.stats.nodes += 1
@@ -214,10 +215,10 @@ class _Search:
 
 def until_strategy(m: Model, node: SearchNode, f: CoalitionUntil, labels,
                    mode: Semantics = Semantics.RBATL, *, stats=None,
-                   witness=False, cache=None):
+                   witness=False):
     """Decide the bounded until from a search node; optionally a witness."""
     search = _Search(m, f, labels, mode, stats or SearchStats(),
-                     collect=witness, cache=cache)
+                     collect=witness)
     holds, wn, _ = search.until(node)
     return (holds, wn) if witness else holds
 
@@ -233,13 +234,14 @@ def box_strategy(m: Model, node: SearchNode, f: CoalitionAlways, labels,
 
 
 def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
-                use_cache: bool = False, stats: SearchStats | None = None
+                stats: SearchStats | None = None
                 ) -> dict[Formula, frozenset[str]]:
     """Label every formula in sub_ordered(f0) with its satisfying states.
 
     Propositions and connectives are set algebra; all-INF modalities go to
     the classical fixpoints; bounded next is a single predecessor step;
-    bounded until/always run the tree searches from every state.
+    bounded until/always run the tree searches from every state, one search
+    context per subformula, so until successes are shared across states.
     """
     check_inputs(m, f0)
     if stats is None:
@@ -249,16 +251,12 @@ def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
         if is_modal(f) and not is_all_inf(f.bound):
             if isinstance(f, CoalitionNext):
                 labels[f] = pre(m, f.coalition, labels[f.child], f.bound, mode)
-            elif isinstance(f, CoalitionUntil):
-                search = _Search(m, f, labels, mode, stats,
-                                 cache={} if use_cache else None)
-                labels[f] = frozenset(
-                    s for s in m.states if search.until(node0(s, f.bound))[0]
-                )
             else:
                 search = _Search(m, f, labels, mode, stats)
+                run = (search.until if isinstance(f, CoalitionUntil)
+                       else search.box)
                 labels[f] = frozenset(
-                    s for s in m.states if search.box(node0(s, f.bound))[0]
+                    s for s in m.states if run(node0(s, f.bound))[0]
                 )
         else:
             labels[f] = atl_label(m, f, labels, mode)

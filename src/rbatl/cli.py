@@ -61,13 +61,8 @@ def _parse_oracle_depth(text: str) -> int:
     return depth
 
 
-def _state_order(m):
-    return {s: i for i, s in enumerate(m.states)}
-
-
 def _sorted_states(m, states):
-    order = _state_order(m)
-    return sorted(states, key=lambda s: order[s])
+    return sorted(states, key=m._state_index.__getitem__)
 
 
 def cmd_check(args) -> int:
@@ -121,6 +116,7 @@ def cmd_check(args) -> int:
             "nodes": stats.nodes,
             "max_depth": stats.max_depth,
             "pumps": stats.pumps,
+            "cache_hits": stats.cache_hits,
         }
 
     if args.json:
@@ -144,7 +140,8 @@ def cmd_check(args) -> int:
         if args.trace:
             t = payload["trace"]
             print(f"trace: nodes={t['nodes']} max_depth={t['max_depth']} "
-                  f"pumps={t['pumps']}", file=sys.stderr)
+                  f"pumps={t['pumps']} cache_hits={t['cache_hits']}",
+                  file=sys.stderr)
     if args.state is None:
         return 0
     return 0 if holds else 1

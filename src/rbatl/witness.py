@@ -86,12 +86,14 @@ def _scalar_to_json(x):
     return "inf" if x is INF else x
 
 
-def _scalar_from_json(x):
-    if x == "inf":
-        return INF
+def _int_from_json(x, what):
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    raise WitnessError(f"bad availability component {x!r}")
+    raise WitnessError(f"bad {what} {x!r}")
+
+
+def _scalar_from_json(x):
+    return INF if x == "inf" else _int_from_json(x, "availability component")
 
 
 def _vec_to_json(v):
@@ -145,9 +147,12 @@ def _node_from_dict(data) -> WitnessNode:
     pumped = {}
     for res, depth in pumped_in.items():
         try:
-            pumped[int(res)] = int(depth)
+            pumped[int(res)] = _int_from_json(depth, "pumping depth")
         except (TypeError, ValueError) as exc:
             raise WitnessError(f"bad pumping record {res!r}: {depth!r}") from exc
+    loopback = data.get("loopback")
+    if loopback is not None:
+        loopback = _int_from_json(loopback, "loopback index")
     return WitnessNode(
         state=data["state"],
         entry_avail=_vec_from_json(data["entry_avail"]),
@@ -156,7 +161,7 @@ def _node_from_dict(data) -> WitnessNode:
         action=action,
         children={s: _node_from_dict(c) for s, c in children.items()},
         pumped=pumped,
-        loopback=data.get("loopback"),
+        loopback=loopback,
     )
 
 

@@ -91,6 +91,18 @@ def dead_end_always_game():
     )
 
 
+def zero_cost_chain(n):
+    """Total chain c0 .. c(n-1) with p at the end: idle loops in place and
+    go steps to the next state, both free."""
+    states = [f"c{i}" for i in range(n)]
+    actions = {s: {"a": {"idle": (0,), "go": (0,)}} for s in states}
+    transitions = {s: {("idle",): s, ("go",): states[min(i + 1, n - 1)]}
+                   for i, s in enumerate(states)}
+    return Model(agents=["a"], resources=["e"], states=states,
+                 labels={"p": [states[-1]]}, actions=actions,
+                 transitions=transitions, total=True)
+
+
 def random_propositional(rng):
     roll = rng.random()
     p = Prop(rng.choice(PROPS))

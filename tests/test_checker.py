@@ -20,10 +20,13 @@ from rbatl.formula import (
     CoalitionAlways,
     CoalitionNext,
     CoalitionUntil,
+    TRUE,
+    Or,
     Prop,
+    format_formula,
     sub_ordered,
 )
-from rbatl.vectors import all_inf
+from rbatl.vectors import all_inf, is_all_inf
 
 import modelgen
 
@@ -188,14 +191,55 @@ def test_implicit_hold_soundness():
         assert labels[f] - labels[goal] <= labels[hold]
 
 
-def test_cache_never_changes_answers():
+def _cache_gate_cases():
     rng = random.Random(24)
-    for _ in range(30):
-        m = modelgen.random_model(rng)
-        f = modelgen.random_formula(rng, m)
-        plain = model_check(m, f, use_cache=False)
-        cached = model_check(m, f, use_cache=True)
-        assert all(plain[g] == cached[g] for g in sub_ordered(f))
+    for i in range(100):
+        m = modelgen.random_model(rng, max_states=8, total=i % 2 == 0)
+        cases = [m, modelgen.drop_transitions(rng, m)] if i % 3 == 0 else [m]
+        f = CoalitionUntil(modelgen.random_coalition(rng, m),
+                           modelgen.random_bound(rng, m),
+                           modelgen.random_formula(rng, m, modal_depth=1),
+                           modelgen.random_propositional(rng))
+        for g in (f, modelgen.random_formula(rng, m)):
+            yield from ((case, g) for case in cases)
+    until_game = modelgen.dead_end_until_game()
+    for b in (0, 1, 5):
+        yield until_game, parse_formula("<{a}: %d> (true U p)" % b)
+    always_game = modelgen.dead_end_always_game()
+    for b in (0, 1, 2):
+        yield always_game, CoalitionUntil(
+            ("a",), (b,), TRUE,
+            Or(CoalitionNext(("a",), (1,), TRUE),
+               CoalitionAlways(("a",), (b,), TRUE)))
+
+
+def test_cache_never_changes_answers():
+    # model_check keeps a success cache per until subformula; the recording
+    # search that find_witness runs has none, so it is the reference
+    checked = 0
+    for m, f in _cache_gate_cases():
+        for mode in Semantics:
+            labels = model_check(m, f, mode)
+            for g in sub_ordered(f):
+                if not isinstance(g, CoalitionUntil) or is_all_inf(g.bound):
+                    continue
+                plain = frozenset(
+                    s for s in m.states
+                    if until_strategy(m, node0(s, g.bound), g, labels, mode,
+                                      witness=True)[0])
+                assert labels[g] == plain, (format_formula(g), mode)
+                checked += 1
+    assert checked >= 500
+
+
+def test_zero_cost_chain_reuses_until_successes():
+    n = 100
+    m = modelgen.zero_cost_chain(n)
+    f = parse_formula("<{a}: 0> (true U p)")
+    stats = SearchStats()
+    assert model_check(m, f, stats=stats)[f] == m.state_set()
+    assert stats.nodes <= 3 * n
+    assert stats.cache_hits >= n - 2
 
 
 def test_single_resource_depth_bound():

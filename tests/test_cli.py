@@ -82,7 +82,11 @@ def test_check_json_output(fig1_path, capsys):
     assert payload["holds"] is True
     assert payload["satisfying"] == ["s_I", "s_prime"]
     assert payload["trace"]["nodes"] > 0
+    assert payload["trace"]["cache_hits"] == 0
     assert any("inf" in k or "U" in k for k in payload["labels"])
+    _, _, err = run(capsys, "check", fig1_path, "<{a1,a2}: 0,1> (true U p)",
+                    "--trace")
+    assert "cache_hits=0" in err
 
 
 def test_check_symbolic_engine(chain, tmp_path, capsys):

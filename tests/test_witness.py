@@ -203,6 +203,31 @@ def test_witness_serialization_round_trip(fig1):
     assert "inf" in dump_witness(tree)  # pumped components serialize readably
 
 
+def test_loader_rejects_non_integer_indices(fig1):
+    def nodes(node):
+        yield node
+        for c in node["children"].values():
+            yield from nodes(c)
+
+    g = parse_formula("<{a1,a2}: 0,0> G true")
+    box = witness_to_dict(find_witness(fig1, g, "s_I"))
+    leaf = next(n for n in nodes(box["root"]) if n["kind"] == LOOPBACK_LEAF)
+    assert leaf["loopback"] == 0
+    for bad in (False, 0.0):
+        leaf["loopback"] = bad
+        with pytest.raises(WitnessError):
+            witness_from_dict(box)
+
+    _, _, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
+    until = witness_to_dict(tree)
+    pumped = next(n for n in nodes(until["root"]) if n["pumped"])
+    res = next(iter(pumped["pumped"]))
+    for bad in (pumped["pumped"][res] + 0.9, True):
+        pumped["pumped"][res] = bad
+        with pytest.raises(WitnessError):
+            witness_from_dict(until)
+
+
 def test_corrupted_certificates_rejected(fig1):
     f, labels, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
     phi, psi = labels[f.hold], labels[f.goal]
