@@ -2,7 +2,7 @@
 
 `pre(m, A, X, b, mode)` is the set of states where coalition A has a move
 within bound b whose outcomes all land in X.  Every set labelling in the
-package is one of two fixpoints over it, computed by `fixpoint`:
+package is one of two fixpoints over it, computed by `Arena.fixpoint`:
 
   until  <<A>> (hold U base):  least     muX. base | (hold & pre(X))
   always <<A>> G hold:         greatest  nuX. hold & (base | pre(X))
@@ -14,6 +14,8 @@ free bound `proj_inf(b)` and a base seeded from the split ladder.
 The three semantics modes differ only in `moves`, the one place where their
 rules live; every search, fixpoint and certificate check takes its moves
 from it, except the oracle, which keeps its own loops as the reference.
+A labelling call compiles them once per coalition into an `Arena`, which
+its predecessor steps, fixpoints and tree searches share.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .formula import (
     sub_ordered,
 )
 from .model import JointAction, Model, validate_model
-from .vectors import Vec, is_all_inf, vec_leq, zeros
+from .vectors import Vec, all_inf, is_all_inf, vec_leq, zeros
 
 
 class Semantics(enum.Enum):
@@ -97,47 +99,192 @@ def moves(m: Model, state: str, agents, avail: Vec, mode: Semantics):
             yield mv
 
 
+class Arena:
+    """The game of one (model, coalition, mode), compiled on use.
+
+    A state's row holds its moves as `moves` gives them under an all-INF
+    availability, each with its outcome set added:
+    (ja, net cost, step budget, outcomes, outcome frozenset), in
+    `coalition_actions` order.  Filtering a row by step budget gives the
+    moves under any availability, since whether a move counts does not
+    depend on it.  Rows are compiled on a state's first use, and the
+    predecessor index on the first fixpoint.  An arena serves the queries
+    of one labelling call; it is not kept on the model, whose lifetime
+    would keep every row alive.
+    """
+
+    def __init__(self, m: Model, coalition, mode: Semantics = Semantics.RBATL):
+        self.m = m
+        self.agents = m.normalize_coalition(coalition)
+        self.mode = mode
+        self._rows: dict = {}
+        self._index = None
+
+    def row(self, state: str) -> tuple:
+        row = self._rows.get(state)
+        if row is None:
+            row = self._rows[state] = tuple(
+                (ja, cost, need, outs, frozenset(outs))
+                for ja, cost, need, outs in moves(
+                    self.m, state, self.agents, all_inf(self.m.r), self.mode)
+            )
+        return row
+
+    def moves(self, state: str, avail: Vec):
+        """The moves at state whose step budget fits avail, in row order."""
+        return [mv for mv in self.row(state) if vec_leq(mv[2], avail)]
+
+    def pre(self, rho, bound: Vec) -> frozenset[str]:
+        """States with a move within `bound` whose outcomes all land in
+        rho."""
+        rho = frozenset(rho)
+        fits = _fits(bound)
+        result = set()
+        for s in self.m.states:
+            for _, _, need, _, outset in self.row(s):
+                if outset <= rho and fits(need):
+                    result.add(s)
+                    break
+        return frozenset(result)
+
+    def fixpoint(self, hold, base, bound: Vec, *, greatest: bool = False,
+                 closed=None) -> frozenset[str]:
+        """muX. base | (hold & pre(X)), or nuX. hold & (base | pre(X)) when
+        `greatest`, with pre taken under `bound`.
+
+        The least form may be given `closed`, a part of the answer that is
+        already closed (hold & pre(closed) <= closed); the answer is then
+        closed itself when base adds nothing to it.  Both forms are
+        counter-based worklists, linear in the size of the arena: the
+        least form counts, per move, the outcomes still outside X; the
+        greatest form counts, per state, the moves still inside X.
+        """
+        if greatest:
+            return self._greatest(frozenset(hold), frozenset(base), bound)
+        if closed is not None:
+            if base <= closed:
+                return frozenset(closed)
+            base = closed | base
+        return self._least(frozenset(hold), frozenset(base), bound)
+
+    def label(self, f: Formula, lower: dict) -> frozenset[str]:
+        """Label a modality of this arena's coalition given labels for its
+        strict subformulas: next under any bound, until and always under
+        the all-INF bound."""
+        if isinstance(f, CoalitionNext):
+            return self.pre(lower[f.child], f.bound)
+        if not is_all_inf(f.bound):
+            raise EngineError("bounded until/always go to the bounded checker")
+        if isinstance(f, CoalitionUntil):
+            return self.fixpoint(lower[f.hold], lower[f.goal], f.bound)
+        return self.fixpoint(lower[f.child], frozenset(), f.bound,
+                             greatest=True)
+
+    def _compiled(self):
+        """(owner state, step budget, outcome set) per move id, and the ids
+        of the moves with each state among their outcomes."""
+        if self._index is None:
+            owners, preds = [], {}
+            for s in self.m.states:
+                for _, _, need, _, outset in self.row(s):
+                    mid = len(owners)
+                    owners.append((s, need, outset))
+                    for o in outset:
+                        preds.setdefault(o, []).append(mid)
+            self._index = owners, preds
+        return self._index
+
+    def _least(self, hold, start, bound):
+        owners, preds = self._compiled()
+        fits = _fits(bound)
+        inside = set(start)
+        work = []
+        outside = {}  # move id -> outcomes not yet in X, counted against start
+        for mid, (s, need, outset) in enumerate(owners):
+            if s in start or s not in hold or not fits(need):
+                continue
+            n = len(outset - start)
+            if n:
+                outside[mid] = n
+            elif s not in inside:
+                inside.add(s)
+                work.append(s)
+        while work:
+            t = work.pop()
+            for mid in preds.get(t, ()):
+                n = outside.get(mid)
+                if n is None:
+                    continue
+                if n > 1:
+                    outside[mid] = n - 1
+                    continue
+                del outside[mid]
+                s = owners[mid][0]
+                if s not in inside:
+                    inside.add(s)
+                    work.append(s)
+        return frozenset(inside)
+
+    def _greatest(self, hold, base, bound):
+        owners, preds = self._compiled()
+        fits = _fits(bound)
+        outside = {}  # move id -> outcomes no longer in X
+        good = dict.fromkeys(hold - base, 0)  # state -> moves inside X
+        for mid, (s, need, outset) in enumerate(owners):
+            if s not in good or not fits(need):
+                continue
+            n = len(outset - hold)
+            outside[mid] = n
+            if not n:
+                good[s] += 1
+        work = [s for s, n in good.items() if not n]
+        dropped = set(work)
+        while work:
+            t = work.pop()
+            for mid in preds.get(t, ()):
+                n = outside.get(mid)
+                if n is None:
+                    continue
+                outside[mid] = n + 1
+                if n:
+                    continue
+                s = owners[mid][0]
+                good[s] -= 1
+                if not good[s]:
+                    dropped.add(s)
+                    work.append(s)
+        return hold - dropped
+
+
+class Arenas:
+    """The arenas of one labelling call, one per normalised coalition."""
+
+    def __init__(self, m: Model, mode: Semantics):
+        self.m = m
+        self.mode = mode
+        self._by_agents: dict = {}
+
+    def __call__(self, coalition) -> Arena:
+        agents = self.m.normalize_coalition(coalition)
+        arena = self._by_agents.get(agents)
+        if arena is None:
+            arena = self._by_agents[agents] = Arena(self.m, agents, self.mode)
+        return arena
+
+
+def _fits(bound: Vec):
+    """The test `need <= bound` on step budgets, free for an all-INF
+    bound."""
+    if is_all_inf(bound):
+        return lambda need: True
+    return lambda need: vec_leq(need, bound)
+
+
 def pre(m: Model, coalition, rho, bound: Vec, mode: Semantics = Semantics.RBATL
         ) -> frozenset[str]:
     """States where the coalition has a move within `bound` whose outcomes
-    all land in rho."""
-    agents = m.normalize_coalition(coalition)
-    target = set(rho)
-    result = set()
-    for s in m.states:
-        for _, _, _, outs in moves(m, s, agents, bound, mode):
-            if all(o in target for o in outs):
-                result.add(s)
-                break
-    return frozenset(result)
-
-
-def fixpoint(m: Model, coalition, hold, base, bound: Vec,
-             mode: Semantics = Semantics.RBATL, *, greatest: bool = False,
-             closed=None) -> frozenset[str]:
-    """muX. base | (hold & pre(X)), or nuX. hold & (base | pre(X)) when
-    `greatest`, with pre taken under `bound`.
-
-    The greatest form starts from hold.  The least form starts from base,
-    or from `closed` when given: a part of the answer that is already
-    closed (hold & pre(closed) <= closed), in which case no `pre` call is
-    spent when base adds nothing to it.
-    """
-    if greatest:
-        rho = hold
-        while True:
-            nxt = hold & (base | pre(m, coalition, rho, bound, mode))
-            if nxt == rho:
-                return rho
-            rho = nxt
-    if closed is None:
-        rho, tau = base, hold & pre(m, coalition, base, bound, mode)
-    else:
-        rho, tau = closed, base
-    while not tau <= rho:
-        rho = rho | tau
-        tau = hold & pre(m, coalition, rho, bound, mode)
-    return rho
+    all land in rho: a one-shot `Arena.pre`."""
+    return Arena(m, coalition, mode).pre(rho, bound)
 
 
 def atl_label(m: Model, f: Formula, lower: dict, mode: Semantics = Semantics.RBATL
@@ -145,7 +292,7 @@ def atl_label(m: Model, f: Formula, lower: dict, mode: Semantics = Semantics.RBA
     """Label one formula given labels for its strict subformulas.
 
     Propositions and connectives are set algebra; modalities must carry the
-    all-INF bound and are solved by `pre` and `fixpoint`.
+    all-INF bound and are solved over a one-shot `Arena`.
     """
     states = m.state_set()
     if isinstance(f, TrueConst):
@@ -167,13 +314,7 @@ def atl_label(m: Model, f: Formula, lower: dict, mode: Semantics = Semantics.RBA
             "atl_label only handles all-inf bounds; finite bounds go to the "
             "bounded checker"
         )
-    if isinstance(f, CoalitionNext):
-        return pre(m, f.coalition, lower[f.child], f.bound, mode)
-    if isinstance(f, CoalitionUntil):
-        return fixpoint(m, f.coalition, lower[f.hold], lower[f.goal], f.bound,
-                        mode)
-    return fixpoint(m, f.coalition, lower[f.child], frozenset(), f.bound, mode,
-                    greatest=True)
+    return Arena(m, f.coalition, mode).label(f, lower)
 
 
 def eval_propositional(m: Model, f: Formula) -> frozenset[str]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atl import Semantics, atl_label, check_inputs, moves, pre
+from .atl import Arena, Arenas, Semantics, atl_label, check_inputs
 from .errors import EngineError, ModelError
 from .formula import (
     CoalitionAlways,
@@ -67,17 +67,20 @@ def node0(state: str, bound: Vec) -> SearchNode:
 
 
 class _Search:
-    """One bounded-modality query context (model, coalition, labels)."""
+    """One bounded-modality query context (model, coalition, labels).
 
-    def __init__(self, m, f, labels, mode, stats, collect=False):
+    Moves come from `arena`, the compiled game of the coalition, which a
+    labelling call shares with its other queries; a fresh one by default.
+    """
+
+    def __init__(self, m, f, labels, mode, stats, collect=False, arena=None):
         self.m = m
-        self.mode = mode
+        self.arena = arena or Arena(m, f.coalition, mode)
         self.stats = stats
         self.collect = collect
         # until successes per state, as minimal availabilities; a hit has no
         # subtree to record, so a recording search runs without one
         self.cache = None if collect else {}
-        self.agents = m.normalize_coalition(f.coalition)
         guard_formula = with_bound(f, all_inf(m.r))
         self.guard = labels[guard_formula]
         self.psi = labels[f.goal] if isinstance(f, CoalitionUntil) else None
@@ -135,8 +138,7 @@ class _Search:
                     return True, None, _NO_PUMP
         depth = len(node.path)
         child_path = node.path + (SearchNode(s, avail, node.path),)
-        for ja, cost, _, outs in moves(self.m, s, self.agents, avail,
-                                       self.mode):
+        for ja, cost, _, outs, _ in self.arena.moves(s, avail):
             after = bound_minus_cost(avail, cost)
             if after is None:
                 raise EngineError("availability underflow past the cost filter")
@@ -191,8 +193,7 @@ class _Search:
                                      loopback=i)
                 return True, wn
         child_path = node.path + (node,)
-        for ja, cost, _, outs in moves(self.m, s, self.agents, node.avail,
-                                       self.mode):
+        for ja, cost, _, outs, _ in self.arena.moves(s, node.avail):
             after = bound_minus_cost(node.avail, cost)
             if after is None:
                 raise EngineError("availability underflow past the cost filter")
@@ -242,24 +243,26 @@ def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
     the classical fixpoints; bounded next is a single predecessor step;
     bounded until/always run the tree searches from every state, one search
     context per subformula, so until successes are shared across states.
+    All of them take their moves from one arena per coalition, kept for
+    the length of the call.
     """
     check_inputs(m, f0)
     if stats is None:
         stats = SearchStats()
+    arenas = Arenas(m, mode)
     labels: dict[Formula, frozenset[str]] = {}
     for f in sub_ordered(f0):
-        if is_modal(f) and not is_all_inf(f.bound):
-            if isinstance(f, CoalitionNext):
-                labels[f] = pre(m, f.coalition, labels[f.child], f.bound, mode)
-            else:
-                search = _Search(m, f, labels, mode, stats)
-                run = (search.until if isinstance(f, CoalitionUntil)
-                       else search.box)
-                labels[f] = frozenset(
-                    s for s in m.states if run(node0(s, f.bound))[0]
-                )
-        else:
+        if not is_modal(f):
             labels[f] = atl_label(m, f, labels, mode)
+        elif isinstance(f, CoalitionNext) or is_all_inf(f.bound):
+            labels[f] = arenas(f.coalition).label(f, labels)
+        else:
+            search = _Search(m, f, labels, mode, stats,
+                             arena=arenas(f.coalition))
+            run = search.until if isinstance(f, CoalitionUntil) else search.box
+            labels[f] = frozenset(
+                s for s in m.states if run(node0(s, f.bound))[0]
+            )
     return labels
 
 

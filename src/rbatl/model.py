@@ -64,6 +64,7 @@ class Model:
         self.total = bool(total)
         self._state_index = {s: i for i, s in enumerate(self.states)}
         self._agent_index = {a: i for i, a in enumerate(self.agents)}
+        self._violations: tuple[str, ...] | None = None  # see validate_model
 
     # -- basic accessors -------------------------------------------------
 
@@ -145,7 +146,15 @@ def validate_model(m: Model) -> list[str]:
 
     Totality requirements (idle everywhere, zero idle cost, transitions on
     every full joint action) are only checked when the total flag is set.
+    The model is immutable, so the check runs once per model and later
+    calls return a fresh copy of its result.
     """
+    if m._violations is None:
+        m._violations = tuple(_violations(m))
+    return list(m._violations)
+
+
+def _violations(m: Model) -> list[str]:
     errs: list[str] = []
     if not m.states:
         errs.append("model has no states")

@@ -21,7 +21,7 @@ components, b = free, S is empty and the fixpoints are the plain ones.
 
 from __future__ import annotations
 
-from .atl import Semantics, atl_label, check_inputs, fixpoint, pre
+from .atl import Arenas, Semantics, atl_label, check_inputs
 from .errors import EngineError
 from .formula import (
     CoalitionNext,
@@ -47,7 +47,7 @@ def is_consumption_only(m: Model) -> bool:
     )
 
 
-def _label_bounded(m, f, labels, mode):
+def _label_bounded(arena, f, labels):
     """One until/always label under any bound, as the module docstring says."""
     until = isinstance(f, CoalitionUntil)
     hold = labels[f.hold] if until else labels[f.child]
@@ -57,10 +57,8 @@ def _label_bounded(m, f, labels, mode):
     if free != f.bound:
         closed = labels[with_bound(f, free)]
         for d, dprime in split(f.bound):
-            base = base | (hold & pre(m, f.coalition,
-                                      labels[with_bound(f, dprime)], d, mode))
-    return fixpoint(m, f.coalition, hold, base, free, mode,
-                    greatest=not until, closed=closed)
+            base = base | (hold & arena.pre(labels[with_bound(f, dprime)], d))
+    return arena.fixpoint(hold, base, free, greatest=not until, closed=closed)
 
 
 def rb_atl_label(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL
@@ -72,12 +70,13 @@ def rb_atl_label(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL
             "model produces resources; the symbolic engine needs a "
             "consumption-only model, use the general checker instead"
         )
+    arenas = Arenas(m, mode)
     labels: dict[Formula, frozenset[str]] = {}
     for f in sub_plus(f0):
         if not is_modal(f):
             labels[f] = atl_label(m, f, labels, mode)
         elif isinstance(f, CoalitionNext):
-            labels[f] = pre(m, f.coalition, labels[f.child], f.bound, mode)
+            labels[f] = arenas(f.coalition).pre(labels[f.child], f.bound)
         else:
-            labels[f] = _label_bounded(m, f, labels, mode)
+            labels[f] = _label_bounded(arenas(f.coalition), f, labels)
     return labels

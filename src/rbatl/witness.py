@@ -406,6 +406,9 @@ class _Concretizer:
         return clamp0(vec_max(step, vec_add(cost, below)))
 
     def _loop_plan(self, node: WitnessNode, res: int, demand: Vec) -> _LoopPlan:
+        if not 0 <= res < self.m.r:
+            raise WitnessError(f"pumping record for resource {res}, but the "
+                               f"model has {self.m.r} resources")
         chain = self.parents[id(node)]
         anc_idx = node.pumped[res]
         if not 0 <= anc_idx < len(chain):

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 from rbatl import (
     INF,
+    Model,
     Prop,
     Semantics,
     TRUE,
@@ -9,13 +11,66 @@ from rbatl import (
     model_check,
     parse_formula,
     pre,
+    rb_atl_label,
 )
-from rbatl.atl import consumption_joint
+from rbatl.atl import Arena, consumption_joint, moves
 from rbatl.formula import sub_ordered
 from rbatl.model import JointAction
-from rbatl.vectors import all_inf
+from rbatl.vectors import all_inf, proj_inf
 
 import modelgen
+
+MODES = (Semantics.RBATL, Semantics.NT, Semantics.RAL_FINITE)
+
+
+# -- loop-until-stable reference for the arena's pre and fixpoint ----------
+
+
+def loop_pre(m, coalition, rho, bound, mode):
+    """pre rebuilt from `moves` on every call."""
+    agents = m.normalize_coalition(coalition)
+    return frozenset(
+        s for s in m.states
+        if any(all(o in rho for o in outs)
+               for _, _, _, outs in moves(m, s, agents, bound, mode))
+    )
+
+
+def loop_fixpoint(m, coalition, hold, base, bound, mode, *, greatest=False,
+                  closed=None):
+    """The fixpoints by rounds of `loop_pre` until nothing changes."""
+    if greatest:
+        rho = hold
+        while True:
+            nxt = hold & (base | loop_pre(m, coalition, rho, bound, mode))
+            if nxt == rho:
+                return rho
+            rho = nxt
+    if closed is None:
+        rho, tau = base, hold & loop_pre(m, coalition, base, bound, mode)
+    else:
+        rho, tau = closed, base
+    while not tau <= rho:
+        rho = rho | tau
+        tau = hold & loop_pre(m, coalition, rho, bound, mode)
+    return rho
+
+
+def differential_models(rng):
+    """Random models (total, non-total and with dropped transitions) and
+    the two dead-end games, some consumption-only."""
+    yield modelgen.dead_end_until_game()
+    yield modelgen.dead_end_always_game()
+    for _ in range(12):
+        m = modelgen.random_model(rng, max_states=7)
+        yield m
+        yield modelgen.drop_transitions(rng, m)
+        yield modelgen.random_model(rng, max_states=7, total=False)
+        yield modelgen.random_consumption_model(rng, max_states=7)
+
+
+def random_states(rng, m, p):
+    return frozenset(s for s in m.states if rng.random() < p)
 
 
 def test_pre_empty_target_on_total_model(fig1):
@@ -103,3 +158,98 @@ def test_nt_equals_rbatl_on_total_models():
         a = model_check(m, f, Semantics.RBATL)
         b = model_check(m, f, Semantics.NT)
         assert all(a[g] == b[g] for g in sub_ordered(f))
+
+
+def test_arena_pre_matches_the_loop():
+    rng = random.Random(14)
+    checked = 0
+    for m in differential_models(rng):
+        for mode in MODES:
+            A = modelgen.random_coalition(rng, m)
+            arena = Arena(m, A, mode)  # one arena across many calls
+            for _ in range(6):
+                rho = random_states(rng, m, 0.5)
+                bound = modelgen.random_bound(rng, m, inf_prob=0.3)
+                for b in (bound, all_inf(m.r)):
+                    assert arena.pre(rho, b) == loop_pre(m, A, rho, b, mode)
+                    assert pre(m, A, rho, b, mode) == arena.pre(rho, b)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_arena_fixpoint_matches_the_loop():
+    rng = random.Random(15)
+    for m in differential_models(rng):
+        for mode in MODES:
+            A = modelgen.random_coalition(rng, m)
+            arena = Arena(m, A, mode)
+            for _ in range(4):
+                hold = random_states(rng, m, 0.7)
+                base = random_states(rng, m, 0.3)
+                bound = modelgen.random_bound(rng, m, inf_prob=0.3)
+                for b in (bound, proj_inf(bound), all_inf(m.r)):
+                    for greatest in (False, True):
+                        want = loop_fixpoint(m, A, hold, base, b, mode,
+                                             greatest=greatest)
+                        got = arena.fixpoint(hold, base, b, greatest=greatest)
+                        assert got == want
+                    # the least form from a closed part of its answer
+                    part = random_states(rng, m, 0.5) & base
+                    closed = loop_fixpoint(m, A, hold, part, b, mode)
+                    want = loop_fixpoint(m, A, hold, base, b, mode,
+                                         closed=closed)
+                    assert arena.fixpoint(hold, base, b,
+                                          closed=closed) == want
+                    assert want == loop_fixpoint(m, A, hold, base | closed,
+                                                 b, mode)
+
+
+def test_arena_fixpoint_keeps_a_move_without_outcomes():
+    # s's only move has no outcomes: it wins vacuously under rbatl alone,
+    # so s is in both fixpoints with an empty base, and in neither in nt
+    m = Model(agents=["a"], resources=["e"], states=["s", "t"], labels={},
+              actions={"s": {"a": {"dead": (0,)}}, "t": {"a": {"go": (0,)}}},
+              transitions={"t": {("go",): "s"}}, total=False)
+    hold, top = frozenset(m.states), all_inf(1)
+    for mode, want in ((Semantics.RBATL, hold), (Semantics.NT, frozenset())):
+        for greatest in (False, True):
+            got = Arena(m, ["a"], mode).fixpoint(hold, frozenset(), top,
+                                                 greatest=greatest)
+            assert got == want
+            assert got == loop_fixpoint(m, ["a"], hold, frozenset(), top,
+                                        mode, greatest=greatest)
+
+
+def count_outcomes(monkeypatch):
+    calls = Counter()
+    outcomes = Model.outcomes
+
+    def counted(m, state, ja):
+        calls[state, ja] += 1
+        return outcomes(m, state, ja)
+
+    monkeypatch.setattr(Model, "outcomes", counted)
+    return calls
+
+
+def test_outcomes_computed_once_per_move_and_call(monkeypatch):
+    rng = random.Random(16)
+    m = modelgen.random_consumption_model(rng, max_states=12)
+    while len(m.states) < 12:
+        m = modelgen.random_consumption_model(rng, max_states=12)
+    calls = count_outcomes(monkeypatch)
+    f = parse_formula("<{a0}: 3,3> (!q U p)")
+    rb_atl_label(m, f)
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    chain = modelgen.zero_cost_chain(100)
+    model_check(chain, parse_formula("<{a}: 0> (true U p)"))
+    assert calls and max(calls.values()) == 1
+
+
+def test_long_chain_fixpoints():
+    m = modelgen.zero_cost_chain(2000)
+    until = parse_formula("<{a}: 0> (true U p)")
+    always = parse_formula("<{a}: inf> G !p")
+    assert len(rb_atl_label(m, until)[until]) == 2000
+    assert len(rb_atl_label(m, always)[always]) == 1999

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from rbatl import IDLE, JointAction, Model, ModelError, validate_model
+import rbatl.model
+from rbatl import (IDLE, JointAction, Model, ModelError, model_check,
+                   parse_formula, rb_atl_label, validate_model)
 
 import modelgen
 
@@ -154,3 +156,24 @@ def test_total_models_never_have_empty_outcomes():
             for coalition in ([], [m.agents[0]], list(m.agents)):
                 for move in m.coalition_actions(s, coalition):
                     assert m.outcomes(s, move)
+
+
+def test_validation_runs_once_per_model(fig1, monkeypatch):
+    runs = []
+    check = rbatl.model._violations
+    monkeypatch.setattr(rbatl.model, "_violations",
+                        lambda m: runs.append(m) or check(m))
+    broken = Model(agents=fig1.agents, resources=fig1.resources,
+                   states=fig1.states, labels=fig1.labels,
+                   actions={**fig1.actions, "s": {"a1": {}, "a2": {}}},
+                   transitions=fig1.transitions, total=True)
+    first = validate_model(broken)
+    assert first
+    first.clear()
+    assert validate_model(broken) and validate_model(broken) is not first
+    for _ in range(2):
+        with pytest.raises(ModelError):
+            model_check(broken, parse_formula("p"))
+        with pytest.raises(ModelError):
+            rb_atl_label(broken, parse_formula("p"))
+    assert runs == [broken]

@@ -303,3 +303,18 @@ def test_random_corpus_witness_integrity():
                 assert validate_witness(m, tree, phi_states=labels[f.child])
             checked += 1
     assert checked >= 30
+
+
+def test_concretize_rejects_pumping_outside_the_resources(fig1):
+    f, labels, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
+    data = witness_to_dict(tree)
+    stack = [data["root"]]
+    while stack:
+        node = stack.pop()
+        stack.extend(node["children"].values())
+        if node["pumped"]:
+            node["pumped"] = {"7": depth for depth in node["pumped"].values()}
+    with pytest.raises(WitnessError):
+        concretize_until_witness(fig1, witness_from_dict(data),
+                                 phi_states=labels[f.hold],
+                                 psi_states=labels[f.goal])
