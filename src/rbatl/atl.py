@@ -15,7 +15,7 @@ The three semantics modes differ only in `moves`, the one place where their
 rules live; every search, fixpoint and certificate check takes its moves
 from it, except the oracle, which keeps its own loops as the reference.
 A labelling call compiles them once per coalition into an `Arena`, which
-its predecessor steps, fixpoints and tree searches share.
+its predecessor steps, fixpoints, until credits and always search share.
 """
 
 from __future__ import annotations

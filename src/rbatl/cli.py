@@ -29,11 +29,7 @@ from .oracle import bounded_search
 from .parser import parse_formula
 from .petri import load_net, reduce_to_model
 from .symbolic import rb_atl_label
-from .witness import (
-    concretize_until_witness,
-    dump_witness,
-    validate_witness,
-)
+from .witness import dump_witness, validate_witness
 
 
 def _read_formula_arg(arg: str) -> str:
@@ -176,11 +172,8 @@ def _emit_witness(m, f0: Formula, state, mode, labels, out_path):
         return {"path": str(out_path), "written": False, "validated": False,
                 "note": "property fails at the designated state"}
     if isinstance(f0, CoalitionUntil):
-        phi = labels[f0.hold]
-        psi = labels[f0.goal]
-        tree = concretize_until_witness(m, tree, phi_states=phi,
-                                        psi_states=psi)
-        ok = validate_witness(m, tree, phi_states=phi, psi_states=psi)
+        ok = validate_witness(m, tree, phi_states=labels[f0.hold],
+                              psi_states=labels[f0.goal])
     else:
         ok = validate_witness(m, tree, phi_states=labels[f0.child])
     Path(out_path).write_text(dump_witness(tree))

@@ -14,17 +14,18 @@ import pytest
 
 from rbatl import (
     Semantics,
-    concretize_until_witness,
+    box_strategy,
     coverable,
     find_witness,
     model_check,
     parse_formula,
     rb_atl_label,
     reduce_to_model,
+    until_strategy,
     validate_witness,
     with_bound,
 )
-from rbatl.checker import SearchStats, _Search, node0
+from rbatl.checker import SearchStats, node0
 from rbatl.formula import CoalitionAlways, CoalitionUntil, sub_ordered
 from rbatl.vectors import all_inf
 
@@ -106,9 +107,10 @@ def test_criterion_4_unbounded_agreement():
         for f in (CoalitionUntil(A, top, hold, goal),
                   CoalitionAlways(A, top, hold)):
             labels = _timed(model_check, m, f)
-            search = _Search(m, f, labels, Semantics.RBATL, SearchStats())
-            run = search.until if isinstance(f, CoalitionUntil) else search.box
-            got = frozenset(s for s in m.states if run(node0(s, top))[0])
+            run = (until_strategy if isinstance(f, CoalitionUntil)
+                   else box_strategy)
+            got = frozenset(s for s in m.states
+                            if run(m, node0(s, top), f, labels))
             total += 1
             agree += got == labels[f]
     _verdict(4, f"all-inf bound agreement {agree}/{total}", agree == total)
@@ -151,8 +153,6 @@ def test_criterion_6_witness_integrity(fig1):
             assert tree is not None
             if isinstance(f, CoalitionUntil):
                 phi, psi = labels[f.hold], labels[f.goal]
-                tree = concretize_until_witness(m, tree, phi_states=phi,
-                                                psi_states=psi)
                 ok = validate_witness(m, tree, phi_states=phi, psi_states=psi)
             else:
                 psi = frozenset()

@@ -9,13 +9,15 @@ from rbatl import (
     Model,
     Semantics,
     box_strategy,
+    find_witness,
     model_check,
     node0,
     parse_formula,
     until_strategy,
+    validate_witness,
     with_bound,
 )
-from rbatl.checker import SearchStats, _Search
+from rbatl.checker import SearchStats
 from rbatl.formula import (
     CoalitionAlways,
     CoalitionNext,
@@ -29,6 +31,7 @@ from rbatl.formula import (
 from rbatl.vectors import all_inf, is_all_inf
 
 import modelgen
+from pumping import pumping_until
 
 
 def sat(m, text, mode=Semantics.RBATL, **kw):
@@ -141,15 +144,10 @@ def test_inf_bound_search_equals_fixpoint_labelling():
         for f in (CoalitionUntil(A, top, hold, goal),
                   CoalitionAlways(A, top, hold)):
             labels = model_check(m, f)
-            search = _Search(m, f, labels, Semantics.RBATL, SearchStats())
-            if isinstance(f, CoalitionUntil):
-                got = frozenset(
-                    s for s in m.states if search.until(node0(s, top))[0]
-                )
-            else:
-                got = frozenset(
-                    s for s in m.states if search.box(node0(s, top))[0]
-                )
+            run = (until_strategy if isinstance(f, CoalitionUntil)
+                   else box_strategy)
+            got = frozenset(s for s in m.states
+                            if run(m, node0(s, top), f, labels))
             assert got == labels[f]
 
 
@@ -191,7 +189,7 @@ def test_implicit_hold_soundness():
         assert labels[f] - labels[goal] <= labels[hold]
 
 
-def _cache_gate_cases():
+def _differential_cases():
     rng = random.Random(24)
     for i in range(100):
         m = modelgen.random_model(rng, max_states=8, total=i % 2 == 0)
@@ -213,33 +211,39 @@ def _cache_gate_cases():
                CoalitionAlways(("a",), (b,), TRUE)))
 
 
-def test_cache_never_changes_answers():
-    # model_check keeps a success cache per until subformula; the recording
-    # search that find_witness runs has none, so it is the reference
+def test_credits_match_pumping_search():
+    # the paper's pumping search is the reference for every bounded until
+    # label, and each satisfied state's certificate replays as it is
     checked = 0
-    for m, f in _cache_gate_cases():
+    for m, f in _differential_cases():
         for mode in Semantics:
             labels = model_check(m, f, mode)
             for g in sub_ordered(f):
                 if not isinstance(g, CoalitionUntil) or is_all_inf(g.bound):
                     continue
-                plain = frozenset(
+                agents = m.normalize_coalition(g.coalition)
+                guard = labels[with_bound(g, all_inf(m.r))]
+                want = frozenset(
                     s for s in m.states
-                    if until_strategy(m, node0(s, g.bound), g, labels, mode,
-                                      witness=True)[0])
-                assert labels[g] == plain, (format_formula(g), mode)
+                    if pumping_until(m, agents, guard, labels[g.goal], mode,
+                                     s, g.bound))
+                assert labels[g] == want, (format_formula(g), mode)
+                for s in labels[g]:
+                    tree = find_witness(m, g, s, mode, labels=labels)
+                    assert validate_witness(m, tree,
+                                            phi_states=labels[g.hold],
+                                            psi_states=labels[g.goal])
                 checked += 1
     assert checked >= 500
 
 
-def test_zero_cost_chain_reuses_until_successes():
-    n = 100
+def test_zero_cost_chain_of_2000_states():
+    n = 2000
     m = modelgen.zero_cost_chain(n)
     f = parse_formula("<{a}: 0> (true U p)")
     stats = SearchStats()
     assert model_check(m, f, stats=stats)[f] == m.state_set()
-    assert stats.nodes <= 3 * n
-    assert stats.cache_hits >= n - 2
+    assert stats.nodes == n  # one credit per state
 
 
 def test_single_resource_depth_bound():
@@ -273,4 +277,3 @@ def test_stats_are_populated(fig1):
     model_check(fig1, f, stats=stats)
     assert stats.nodes > 0
     assert stats.max_depth >= 3
-    assert stats.pumps >= 1

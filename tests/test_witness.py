@@ -22,7 +22,6 @@ from rbatl.witness import (
     ALL_INF_LEAF,
     INTERNAL,
     LOOPBACK_LEAF,
-    PSI_LEAF,
     iter_nodes,
 )
 
@@ -50,19 +49,47 @@ def test_no_infinity_witness_returned_unchanged(fig1):
 def test_pumped_witness_unrolls_to_four_traversals(fig1):
     f, labels, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
     phi, psi = labels[f.hold], labels[f.goal]
-    assert any(n.pumped for n in iter_nodes(tree.root))
-    assert not validate_witness(fig1, tree, phi_states=phi, psi_states=psi)
-    conc = concretize_until_witness(fig1, tree, phi_states=phi, psi_states=psi)
-    assert validate_witness(fig1, conc, phi_states=phi, psi_states=psi)
+    assert validate_witness(fig1, tree, phi_states=phi, psi_states=psi)
     alphas = sum(
-        1 for n in iter_nodes(conc.root)
+        1 for n in iter_nodes(tree.root)
         if n.action is not None and "alpha" in n.action.actions
     )
     assert alphas == 4
     # the expensive move fires exactly once, from availability (5, 0)
-    gammas = [n for n in iter_nodes(conc.root)
+    gammas = [n for n in iter_nodes(tree.root)
               if n.action is not None and "gamma" in n.action.actions]
     assert len(gammas) == 1 and gammas[0].avail == (5, 0)
+
+
+def fig1_with_gamma(fig1, k):
+    """fig1 with the expensive move gamma costing k of r1."""
+    actions = dict(fig1.actions)
+    actions["s"] = {"a1": {"idle": (0, 0), "gamma": (k, 0)},
+                    "a2": actions["s"]["a2"]}
+    return Model(agents=fig1.agents, resources=fig1.resources,
+                 states=fig1.states, labels=fig1.labels, actions=actions,
+                 transitions=fig1.transitions, total=True)
+
+
+def test_deep_certificates_build_and_validate(fig1):
+    # both trees are thousands of nodes deep: building and checking them
+    # must not recurse once per level
+    cases = [(fig1_with_gamma(fig1, 1000), "<{a1,a2}: 0,1> (true U p)",
+              "s_I"),
+             (modelgen.zero_cost_chain(2000), "<{a}: 0> (true U p)", "c0")]
+    for m, text, state in cases:
+        f, labels, tree = until_setup(m, text, state)
+        assert max(_depths(tree.root)) >= 1999
+        assert validate_witness(m, tree, phi_states=labels[f.hold],
+                                psi_states=labels[f.goal])
+
+
+def _depths(root):
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield depth
+        stack.extend((c, depth + 1) for c in node.children.values())
 
 
 def pump_loop_model():
@@ -87,8 +114,9 @@ def cross_branch_model(dead=False):
     back to s.  go costs 3 and reaches the p-state t.  With dead, a also
     has a move costing 2 that has no transition, so the model is not total.
 
-    From s under budget 0 the search pumps once in each branch of work,
-    both against the root, so each loop's requirement needs the other's."""
+    From s under budget 0 the pumping search pumps once in each branch of
+    work, both against the root, so each loop's requirement needs the
+    other's."""
     idle = {"idle": (0,)}
     menu = {"idle": (0,), "work": (-1,), "go": (3,)}
     if dead:
@@ -112,54 +140,25 @@ def cross_branch_model(dead=False):
 
 @pytest.mark.parametrize("dead, mode", [(False, Semantics.RBATL),
                                         (True, Semantics.NT)])
-def test_cross_branch_loops_fall_back_to_replay_search(monkeypatch, dead,
-                                                       mode):
-    import rbatl.witness
-
-    calls = []
-    research = rbatl.witness._research_until
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return research(*args, **kwargs)
-
-    monkeypatch.setattr(rbatl.witness, "_research_until", counted)
+def test_cross_branch_loops_fall_back_to_replay_search(dead, mode):
     m = cross_branch_model(dead)
     f, labels, tree = until_setup(m, "<{a}: 0> (true U p)", "s", mode)
-    phi, psi = labels[f.hold], labels[f.goal]
-    conc = concretize_until_witness(m, tree, phi_states=phi, psi_states=psi)
-    assert len(calls) == 1
-    assert validate_witness(m, conc, phi_states=phi, psi_states=psi)
-    # under nt the replay may not end a play on a move without outcomes
-    assert all(n.children for n in iter_nodes(conc.root)
+    assert validate_witness(m, tree, phi_states=labels[f.hold],
+                            psi_states=labels[f.goal])
+    # under nt a play may not end on a move without outcomes
+    assert all(n.children for n in iter_nodes(tree.root)
                if n.kind == INTERNAL)
 
 
-def test_repetition_count_matches_ceiling_formula():
-    # gain 2 per iteration, availability 3 at the pumped node, target 8:
-    # h = ceil((8 - 3) / 2) = 3 extra repetitions on top of the original one
-    m = pump_loop_model()
-    f, labels, tree = until_setup(m, "<{a}: 1> (true U p)", "u")
-    phi, psi = labels[f.hold], labels[f.goal]
-    conc = concretize_until_witness(m, tree, phi_states=phi, psi_states=psi,
-                                    targets=(8,))
-    assert validate_witness(m, conc, phi_states=phi, psi_states=psi)
-    prods = sum(1 for n in iter_nodes(conc.root)
-                if n.action is not None and "prod" in n.action.actions)
-    assert prods == 1 + 3
-    leaves = [n for n in iter_nodes(conc.root) if n.kind == PSI_LEAF]
-    assert leaves and all(n.avail >= (8,) for n in leaves)
-
-
 def test_zero_target_skips_repetitions():
+    # fin needs no credit, so the certificate never takes the gaining loop
     m = pump_loop_model()
     f, labels, tree = until_setup(m, "<{a}: 1> (true U p)", "u")
-    phi, psi = labels[f.hold], labels[f.goal]
-    conc = concretize_until_witness(m, tree, phi_states=phi, psi_states=psi)
-    assert validate_witness(m, conc, phi_states=phi, psi_states=psi)
-    prods = sum(1 for n in iter_nodes(conc.root)
+    assert validate_witness(m, tree, phi_states=labels[f.hold],
+                            psi_states=labels[f.goal])
+    prods = sum(1 for n in iter_nodes(tree.root)
                 if n.action is not None and "prod" in n.action.actions)
-    assert prods == 1  # only the original pass; h = 0
+    assert prods == 0
 
 
 def test_box_witness_loopbacks(fig1):
@@ -196,11 +195,11 @@ def test_find_witness_returns_none_on_failure(fig1):
 
 
 def test_witness_serialization_round_trip(fig1):
-    f, labels, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
+    f, labels, tree = until_setup(fig1, "<{a1}: inf,1> (true U p)", "s_I")
     data = witness_to_dict(tree)
     back = witness_from_dict(data)
     assert witness_to_dict(back) == data
-    assert "inf" in dump_witness(tree)  # pumped components serialize readably
+    assert "inf" in dump_witness(tree)  # INF components serialize readably
 
 
 def test_loader_rejects_non_integer_indices(fig1):
@@ -218,12 +217,14 @@ def test_loader_rejects_non_integer_indices(fig1):
         with pytest.raises(WitnessError):
             witness_from_dict(box)
 
+    # format v1 pumping records, as older versions wrote them
     _, _, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
     until = witness_to_dict(tree)
-    pumped = next(n for n in nodes(until["root"]) if n["pumped"])
-    res = next(iter(pumped["pumped"]))
-    for bad in (pumped["pumped"][res] + 0.9, True):
-        pumped["pumped"][res] = bad
+    below = until["root"]["children"]["s"]
+    below["pumped"] = {"0": 0}
+    assert witness_from_dict(until).root.children["s"].pumped == {0: 0}
+    for bad in (0.9, True):
+        below["pumped"] = {"0": bad}
         with pytest.raises(WitnessError):
             witness_from_dict(until)
 
@@ -231,9 +232,8 @@ def test_loader_rejects_non_integer_indices(fig1):
 def test_corrupted_certificates_rejected(fig1):
     f, labels, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
     phi, psi = labels[f.hold], labels[f.goal]
-    conc = concretize_until_witness(fig1, tree, phi_states=phi, psi_states=psi)
-    assert validate_witness(fig1, conc, phi_states=phi, psi_states=psi)
-    mutants = corrupt_variants(fig1, conc, psi)
+    assert validate_witness(fig1, tree, phi_states=phi, psi_states=psi)
+    mutants = corrupt_variants(fig1, tree, psi)
     assert len(mutants) >= 20
     for mutant in mutants:
         assert not validate_witness(fig1, mutant, phi_states=phi,
@@ -295,8 +295,6 @@ def test_random_corpus_witness_integrity():
             assert tree is not None
             if until:
                 phi, psi = labels[f.hold], labels[f.goal]
-                tree = concretize_until_witness(m, tree, phi_states=phi,
-                                                psi_states=psi)
                 assert validate_witness(m, tree, phi_states=phi,
                                         psi_states=psi)
             else:
@@ -307,13 +305,18 @@ def test_random_corpus_witness_integrity():
 
 def test_concretize_rejects_pumping_outside_the_resources(fig1):
     f, labels, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
+    # pumping records of older versions, in and out of the resource range,
+    # and an all-infinity leaf, are refused rather than replayed
+    for res in ("7", "0"):
+        data = witness_to_dict(tree)
+        data["root"]["children"]["s"]["pumped"] = {res: 0}
+        with pytest.raises(WitnessError):
+            concretize_until_witness(fig1, witness_from_dict(data),
+                                     phi_states=labels[f.hold],
+                                     psi_states=labels[f.goal])
     data = witness_to_dict(tree)
-    stack = [data["root"]]
-    while stack:
-        node = stack.pop()
-        stack.extend(node["children"].values())
-        if node["pumped"]:
-            node["pumped"] = {"7": depth for depth in node["pumped"].values()}
+    data["root"]["children"]["s"].update(kind=ALL_INF_LEAF, action=None,
+                                         children={})
     with pytest.raises(WitnessError):
         concretize_until_witness(fig1, witness_from_dict(data),
                                  phi_states=labels[f.hold],
