@@ -11,18 +11,20 @@ with base empty for a plain always.  The all-INF modalities of the general
 checker use them directly; the consumption-only engine uses them with the
 free bound `proj_inf(b)` and a base seeded from the split ladder.
 
-The three semantics modes differ only in `moves`, the one place where their
+The three semantics modes differ only in `_move`, the one place where their
 rules live; every search, fixpoint and certificate check takes its moves
-from it, except the oracle, which keeps its own loops as the reference.
-A labelling call compiles them once per coalition into an `Arena`, which
-its predecessor steps, fixpoints, until credits and always search share.
+from it, through `move` or an `Arena` row, except the oracle, which keeps
+its own loops as the reference.  A labelling call compiles the moves once
+per coalition into an `Arena`, which its predecessor steps, fixpoints,
+until credits and always search share.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 
-from .errors import EngineError, FormulaError, ModelError
+from .errors import EngineError, FormulaError, ModelError, VectorError
 from .formula import (
     And,
     CoalitionNext,
@@ -39,7 +41,7 @@ from .formula import (
     sub_ordered,
 )
 from .model import JointAction, Model, validate_model
-from .vectors import Vec, all_inf, is_all_inf, vec_leq, zeros
+from .vectors import Vec, is_all_inf, vec_leq
 
 
 class Semantics(enum.Enum):
@@ -57,12 +59,34 @@ class Semantics(enum.Enum):
 
 def consumption_joint(m: Model, state: str, ja: JointAction) -> Vec:
     """Per-resource sum of the members' consumption, ignoring production."""
-    total = list(zeros(m.r))
-    for agent, action in zip(ja.agents, ja.actions):
-        for i, c in enumerate(m.cost(state, agent, action)):
-            if c > 0:
-                total[i] += c
-    return tuple(total)
+    return _consumption(_columns(_member_costs(m, state, ja), m.zero_cost()))
+
+
+def _member_costs(m: Model, state: str, ja: JointAction) -> list[Vec]:
+    return [m.cost(state, agent, action)
+            for agent, action in zip(ja.agents, ja.actions)]
+
+
+def _columns(member_costs, zero: Vec) -> list[tuple]:
+    """Per resource, a 0 and the members' costs."""
+    try:
+        return list(zip(zero, *member_costs, strict=True))
+    except ValueError:
+        raise VectorError(
+            f"cost vector length does not match {len(zero)} resources"
+        ) from None
+
+
+def _consumption(columns) -> Vec:
+    return tuple(sum(c for c in column if c > 0) for column in columns)
+
+
+def _step_costs(member_costs, zero: Vec, mode: Semantics) -> tuple[Vec, Vec]:
+    columns = _columns(member_costs, zero)
+    cost = tuple(map(sum, columns))
+    if mode is Semantics.RAL_FINITE:
+        return cost, _consumption(columns)
+    return cost, cost
 
 
 def step_costs(m: Model, state: str, ja: JointAction, mode: Semantics
@@ -70,24 +94,30 @@ def step_costs(m: Model, state: str, ja: JointAction, mode: Semantics
     """(net joint cost, step budget): the budget is what the step must fit
     under the availability in this mode, the net cost except under
     ral-finite, where it is the consumption sum."""
-    cost = m.cost_joint(state, ja)
-    if mode is Semantics.RAL_FINITE:
-        return cost, consumption_joint(m, state, ja)
-    return cost, cost
+    return _step_costs(_member_costs(m, state, ja), m.zero_cost(), mode)
+
+
+def _move(ja: JointAction, member_costs, zero: Vec, avail, outcomes,
+          mode: Semantics):
+    """The rules of the three modes, shared by `move` and `Arena.row`:
+    the move if its step budget fits avail (always, for avail None, the
+    all-INF availability) and it counts in this mode, else None.
+    `outcomes()` gives its outcome list and is called only for a move that
+    fits; a move with no outcomes counts only under rbatl."""
+    cost, need = _step_costs(member_costs, zero, mode)
+    if avail is not None and not vec_leq(need, avail):
+        return None
+    outs = outcomes()
+    if not outs and mode is not Semantics.RBATL:
+        return None
+    return ja, cost, need, outs
 
 
 def move(m: Model, state: str, ja: JointAction, avail: Vec, mode: Semantics):
     """(ja, net cost, step budget, outcomes) if ja's step budget fits avail
-    and the move counts in this mode, else None.  A move with no outcomes
-    counts only under rbatl.  Outcomes are computed only for a move that
-    fits."""
-    cost, need = step_costs(m, state, ja, mode)
-    if not vec_leq(need, avail):
-        return None
-    outs = m.outcomes(state, ja)
-    if not outs and mode is not Semantics.RBATL:
-        return None
-    return ja, cost, need, outs
+    and the move counts in this mode, else None."""
+    return _move(ja, _member_costs(m, state, ja), m.zero_cost(), avail,
+                 lambda: m.outcomes(state, ja), mode)
 
 
 def moves(m: Model, state: str, agents, avail: Vec, mode: Semantics):
@@ -123,12 +153,41 @@ class Arena:
     def row(self, state: str) -> tuple:
         row = self._rows.get(state)
         if row is None:
-            row = self._rows[state] = tuple(
-                (ja, cost, need, outs, frozenset(outs))
-                for ja, cost, need, outs in moves(
-                    self.m, state, self.agents, all_inf(self.m.r), self.mode)
-            )
+            row = self._rows[state] = self._compile_row(state)
         return row
+
+    def _compile_row(self, state: str) -> tuple:
+        """The row of `state` in one pass over its full joint actions: their
+        successors are grouped by the coalition's part of the action, and
+        the members' costs are read from their menus.  As in
+        `Model.outcomes`, the joint actions are drawn from the menus, so a
+        transition on an action outside its agent's menu is never taken."""
+        m = self.m
+        menus = m.actions.get(state, {})
+        full = [menus.get(agent, {}) for agent in m.agents]
+        picks = [m._agent_index[agent] for agent in self.agents]
+        transitions = m.transitions.get(state, {})
+        targets: dict = {}  # coalition actions -> outcome states
+        for combo in itertools.product(*full):
+            target = transitions.get(combo)
+            if target is not None:
+                targets.setdefault(tuple(map(combo.__getitem__, picks)),
+                                   set()).add(target)
+        order, last = m._state_index, len(m.states)
+        members = [tuple(menus.get(agent, {}).items())
+                   for agent in self.agents]
+        zero = m.zero_cost()
+        row = []
+        for choice in itertools.product(*members):
+            actions = tuple(action for action, _ in choice)
+            seen = targets.get(actions, ())
+            mv = _move(JointAction(self.agents, actions),
+                       [cost for _, cost in choice], zero, None,
+                       lambda: sorted(seen, key=lambda s: order.get(s, last)),
+                       self.mode)
+            if mv is not None:
+                row.append((*mv, frozenset(seen)))
+        return tuple(row)
 
     def moves(self, state: str, avail: Vec):
         """The moves at state whose step budget fits avail, in row order."""

@@ -14,6 +14,7 @@ on the path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,7 +88,8 @@ def _vec_from_json(v):
     return tuple(_scalar_from_json(x) for x in v)
 
 
-def _node_to_dict(node: WitnessNode) -> dict:
+def _node_fields(node: WitnessNode) -> dict:
+    """A node's object with its children still to be filled in."""
     data = {
         "state": node.state,
         "entry_avail": _vec_to_json(node.entry_avail),
@@ -97,7 +99,7 @@ def _node_to_dict(node: WitnessNode) -> dict:
             "agents": list(node.action.agents),
             "actions": list(node.action.actions),
         },
-        "children": {s: _node_to_dict(c) for s, c in node.children.items()},
+        "children": {},
         "pumped": {str(res): depth for res, depth in node.pumped.items()},
     }
     if node.loopback is not None:
@@ -105,7 +107,20 @@ def _node_to_dict(node: WitnessNode) -> dict:
     return data
 
 
-def _node_from_dict(data) -> WitnessNode:
+def _node_to_dict(root: WitnessNode) -> dict:
+    out = _node_fields(root)
+    stack = [(root, out)]
+    while stack:
+        node, data = stack.pop()
+        children = data["children"]
+        for state, child in node.children.items():
+            children[state] = child_data = _node_fields(child)
+            stack.append((child, child_data))
+    return out
+
+
+def _node_fields_from_dict(data) -> WitnessNode:
+    """A node read from its object, with its children still to be read."""
     if not isinstance(data, dict):
         raise WitnessError("witness node must be an object")
     for key in ("state", "entry_avail", "avail", "kind", "action", "children",
@@ -119,8 +134,7 @@ def _node_from_dict(data) -> WitnessNode:
                 or not isinstance(action.get("actions"), list)):
             raise WitnessError("witness action must carry agents and actions")
         action = JointAction(tuple(action["agents"]), tuple(action["actions"]))
-    children = data["children"]
-    if not isinstance(children, dict):
+    if not isinstance(data["children"], dict):
         raise WitnessError("witness children must be an object")
     pumped_in = data["pumped"]
     if not isinstance(pumped_in, dict):
@@ -140,10 +154,22 @@ def _node_from_dict(data) -> WitnessNode:
         avail=_vec_from_json(data["avail"]),
         kind=data["kind"],
         action=action,
-        children={s: _node_from_dict(c) for s, c in children.items()},
         pumped=pumped,
         loopback=loopback,
     )
+
+
+def _node_from_dict(data) -> WitnessNode:
+    # nodes are read in preorder, so each children dict fills in file order
+    # and the first bad node in the file is the one reported
+    top: dict = {}
+    stack = [(data, top, None)]
+    while stack:
+        node_data, into, key = stack.pop()
+        into[key] = node = _node_fields_from_dict(node_data)
+        stack.extend((child, node.children, state) for state, child
+                     in reversed(node_data["children"].items()))
+    return top[None]
 
 
 def witness_to_dict(tree: WitnessTree) -> dict:
@@ -177,8 +203,79 @@ def witness_from_dict(data) -> WitnessTree:
     )
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALAR_TEXT = {str: _encode_str, int: int.__repr__,
+                type(None): lambda _: "null"}
+_END = object()
+
+
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for the values of
+    `witness_to_dict`: dicts with str keys, lists, str, int and None.
+
+    The stdlib encoder with an indent passes every chunk up through one
+    generator per nesting level, and recurses once per level.  This walk
+    keeps the open containers on its own stack and appends each chunk
+    once, so its time is linear in the text and any depth can be written.
+    """
+    scalar_text = _SCALAR_TEXT
+    out = []
+    pads = ["\n"]  # newline and indentation per depth
+    frames = []  # open containers: [items, is_dict, separator, close]
+    while True:
+        cls = value.__class__
+        if cls is dict or cls is list:
+            depth = len(frames)
+            if not value:
+                out.append("{}" if cls is dict else "[]")
+            else:
+                if len(pads) == depth + 1:
+                    pads.append(pads[depth] + "  ")
+                pad = pads[depth + 1]
+                texts = None
+                if cls is list:
+                    try:
+                        texts = [scalar_text[x.__class__](x) for x in value]
+                    except KeyError:
+                        pass
+                if texts is not None:
+                    out.append("[" + pad + ("," + pad).join(texts)
+                               + pads[depth] + "]")
+                else:
+                    is_dict = cls is dict
+                    out.append(("{" if is_dict else "[") + pad)
+                    frames.append([iter(value.items() if is_dict else value),
+                                   is_dict, "",
+                                   pads[depth] + ("}" if is_dict else "]")])
+        else:
+            try:
+                out.append(scalar_text[cls](value))
+            except KeyError:
+                raise TypeError(f"{cls.__name__} is not part of witness "
+                                "format v1") from None
+        while frames:
+            frame = frames[-1]
+            item = next(frame[0], _END)
+            if item is _END:
+                out.append(frame[3])
+                frames.pop()
+                continue
+            if frame[2]:
+                out.append(frame[2])
+            else:
+                frame[2] = "," + pads[len(frames)]
+            if frame[1]:
+                key, value = item
+                out.append(_encode_str(key) + ": ")
+            else:
+                value = item
+            break
+        else:
+            return "".join(out)
+
+
 def dump_witness(tree: WitnessTree) -> str:
-    return json.dumps(witness_to_dict(tree), indent=2) + "\n"
+    return _json_text(witness_to_dict(tree)) + "\n"
 
 
 def load_witness(path) -> WitnessTree:
@@ -186,6 +283,14 @@ def load_witness(path) -> WitnessTree:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise WitnessError(f"witness file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        limit = sys.getrecursionlimit()
+        raise WitnessError(
+            f"witness file nests deeper than the JSON reader's limit of about "
+            f"{limit} levels (the interpreter's recursion limit); format v1 "
+            f"nests two levels per tree level, so certificates more than "
+            f"about {limit // 2} nodes deep cannot be read back"
+        ) from exc
     return witness_from_dict(data)
 
 

@@ -103,6 +103,16 @@ def zero_cost_chain(n):
                  transitions=transitions, total=True)
 
 
+def fig1_with_gamma(fig1, k):
+    """fig1 with the expensive move gamma costing k of r1."""
+    actions = dict(fig1.actions)
+    actions["s"] = {"a1": {"idle": (0, 0), "gamma": (k, 0)},
+                    "a2": actions["s"]["a2"]}
+    return Model(agents=fig1.agents, resources=fig1.resources,
+                 states=fig1.states, labels=fig1.labels, actions=actions,
+                 transitions=fig1.transitions, total=True)
+
+
 def random_propositional(rng):
     roll = rng.random()
     p = Prop(rng.choice(PROPS))

@@ -220,24 +220,24 @@ def test_arena_fixpoint_keeps_a_move_without_outcomes():
                                         mode, greatest=greatest)
 
 
-def count_outcomes(monkeypatch):
+def count_rows(monkeypatch):
     calls = Counter()
-    outcomes = Model.outcomes
+    compile_row = Arena._compile_row
 
-    def counted(m, state, ja):
-        calls[state, ja] += 1
-        return outcomes(m, state, ja)
+    def counted(arena, state):
+        calls[state, arena.agents] += 1
+        return compile_row(arena, state)
 
-    monkeypatch.setattr(Model, "outcomes", counted)
+    monkeypatch.setattr(Arena, "_compile_row", counted)
     return calls
 
 
-def test_outcomes_computed_once_per_move_and_call(monkeypatch):
+def test_rows_compiled_once_per_state_coalition_and_call(monkeypatch):
     rng = random.Random(16)
     m = modelgen.random_consumption_model(rng, max_states=12)
     while len(m.states) < 12:
         m = modelgen.random_consumption_model(rng, max_states=12)
-    calls = count_outcomes(monkeypatch)
+    calls = count_rows(monkeypatch)
     f = parse_formula("<{a0}: 3,3> (!q U p)")
     rb_atl_label(m, f)
     assert calls and max(calls.values()) == 1
@@ -245,6 +245,36 @@ def test_outcomes_computed_once_per_move_and_call(monkeypatch):
     chain = modelgen.zero_cost_chain(100)
     model_check(chain, parse_formula("<{a}: 0> (true U p)"))
     assert calls and max(calls.values()) == 1
+
+
+def test_compiled_rows_match_moves():
+    # besides the random models, an unvalidated one whose transitions use
+    # an action outside a menu, the wrong arity or an undeclared target,
+    # with states declared out of name order
+    stray = Model(
+        agents=["a", "b"], resources=["e"], states=["s", "t", "d"],
+        labels={},
+        actions={"s": {"a": {"go": (1,), "stay": (0,)},
+                       "b": {"x": (-1,), "z": (0,)}},
+                 "t": {"a": {"go": (0,)}}},
+        transitions={"s": {("go", "x"): "t", ("go", "z"): "d",
+                           ("go", "y"): "s", ("stay",): "s",
+                           ("fly", "x"): "s", ("stay", "x"): "gone",
+                           ("stay", "z"): "s"},
+                     "t": {("go", "x"): "s"}},
+        total=False)
+    rng = random.Random(17)
+    checked = 0
+    for m in [stray, *differential_models(rng)]:
+        for mode in MODES:
+            for A in ([], list(m.agents), modelgen.random_coalition(rng, m)):
+                arena = Arena(m, A, mode)
+                for s in m.states:
+                    want = [(*mv, frozenset(mv[3])) for mv in
+                            moves(m, s, arena.agents, all_inf(m.r), mode)]
+                    assert list(arena.row(s)) == want
+                    checked += 1
+    assert checked > 1000
 
 
 def test_long_chain_fixpoints():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rbatl import (
+    WitnessError,
     dump_model,
     dump_net,
     load_model,
@@ -14,6 +15,8 @@ from rbatl import (
 )
 from rbatl.cli import main
 from rbatl.petri import PetriNet
+
+import modelgen
 
 
 @pytest.fixture
@@ -168,6 +171,21 @@ def test_check_witness_emission(fig1, fig1_path, tmp_path, capsys):
     labels = model_check(fig1, f)
     assert validate_witness(fig1, tree, phi_states=labels[f.hold],
                             psi_states=labels[f.goal])
+
+
+def test_check_witness_for_a_deep_certificate(fig1, tmp_path, capsys):
+    # at gamma 300 the certificate is about 600 nodes deep: it is written
+    # and validated, and reading it back is refused by name, not crashed on
+    model_path = tmp_path / "fig300.json"
+    model_path.write_text(dump_model(modelgen.fig1_with_gamma(fig1, 300)))
+    out_path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "check", model_path,
+                       "<{a1,a2}: 0,1> (true U p)", "--state", "s_I",
+                       "--witness", out_path)
+    assert code == 0
+    assert f"witness: {out_path} (validated)" in out
+    with pytest.raises(WitnessError, match="nests deeper"):
+        load_witness(out_path)
 
 
 def test_check_witness_needs_state(fig1_path, tmp_path, capsys):

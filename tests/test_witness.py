@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -18,10 +19,14 @@ from rbatl import (
     witness_from_dict,
     witness_to_dict,
 )
+from rbatl.model import JointAction
 from rbatl.witness import (
     ALL_INF_LEAF,
     INTERNAL,
     LOOPBACK_LEAF,
+    PSI_LEAF,
+    WitnessNode,
+    WitnessTree,
     iter_nodes,
 )
 
@@ -61,27 +66,69 @@ def test_pumped_witness_unrolls_to_four_traversals(fig1):
     assert len(gammas) == 1 and gammas[0].avail == (5, 0)
 
 
-def fig1_with_gamma(fig1, k):
-    """fig1 with the expensive move gamma costing k of r1."""
-    actions = dict(fig1.actions)
-    actions["s"] = {"a1": {"idle": (0, 0), "gamma": (k, 0)},
-                    "a2": actions["s"]["a2"]}
-    return Model(agents=fig1.agents, resources=fig1.resources,
-                 states=fig1.states, labels=fig1.labels, actions=actions,
-                 transitions=fig1.transitions, total=True)
-
-
 def test_deep_certificates_build_and_validate(fig1):
     # both trees are thousands of nodes deep: building and checking them
     # must not recurse once per level
-    cases = [(fig1_with_gamma(fig1, 1000), "<{a1,a2}: 0,1> (true U p)",
-              "s_I"),
+    cases = [(modelgen.fig1_with_gamma(fig1, 1000),
+              "<{a1,a2}: 0,1> (true U p)", "s_I"),
              (modelgen.zero_cost_chain(2000), "<{a}: 0> (true U p)", "c0")]
     for m, text, state in cases:
         f, labels, tree = until_setup(m, text, state)
         assert max(_depths(tree.root)) >= 1999
         assert validate_witness(m, tree, phi_states=labels[f.hold],
                                 psi_states=labels[f.goal])
+        back = witness_from_dict(witness_to_dict(tree))
+        assert _flat(back.root) == _flat(tree.root)
+        text = dump_witness(tree)
+        assert text.startswith('{\n  "format_version": 1,\n')
+        assert text.endswith("\n}\n")
+
+
+def assert_stdlib_bytes(tree):
+    """dump_witness writes what json.dumps(..., indent=2) writes."""
+    want = json.dumps(witness_to_dict(tree), indent=2) + "\n"
+    assert dump_witness(tree) == want
+    return want
+
+
+@pytest.mark.parametrize("gamma, size", [(25, None), (200, 8_052_492)])
+def test_fig1_dump_matches_the_stdlib_encoder(fig1, gamma, size):
+    m = modelgen.fig1_with_gamma(fig1, gamma)
+    _, _, tree = until_setup(m, "<{a1,a2}: 0,1> (true U p)", "s_I")
+    text = assert_stdlib_bytes(tree)
+    assert size is None or len(text) == size
+
+
+def test_hand_built_dumps_match_the_stdlib_encoder():
+    def node(state, avail, kind=INTERNAL, action=None, children=(),
+             **extra):
+        return WitnessNode(state=state, entry_avail=avail, avail=avail,
+                           kind=kind, action=action,
+                           children={c.state: c for c in children}, **extra)
+
+    odd = 'say "hi"\\ é ∞ \n'  # quotes, backslash, non-ASCII, control
+    go = JointAction(("a",), ("go",))
+    loop = node("u", (1, INF), action=go, children=[
+        node("v", (0, INF), kind=LOOPBACK_LEAF, loopback=0),
+        node(odd, (INF, 0), action=JointAction(("a",), ("ü",)), children=[
+            node("w", (INF, INF), kind=ALL_INF_LEAF)],
+            pumped={0: 2, 1: 0})])
+    trees = [
+        WitnessTree("box", ("a",), (1, INF), Semantics.NT, "<{a}: 1,inf> G q",
+                    loop),
+        WitnessTree("until", (), (), Semantics.RAL_FINITE, "<{}: > (q U p)",
+                    node(odd, (), kind=PSI_LEAF)),
+        WitnessTree("until", (), (0,), Semantics.RBATL, "",
+                    node("s", (0,), action=JointAction((), ()))),
+    ]
+    for tree in trees:
+        assert_stdlib_bytes(tree)
+
+
+def _flat(root):
+    # node by node, since == on the dataclasses recurses once per level
+    return [(n.state, n.entry_avail, n.avail, n.kind, n.action, n.pumped,
+             n.loopback, list(n.children)) for n in iter_nodes(root)]
 
 
 def _depths(root):
@@ -299,6 +346,7 @@ def test_random_corpus_witness_integrity():
                                         psi_states=psi)
             else:
                 assert validate_witness(m, tree, phi_states=labels[f.child])
+            assert_stdlib_bytes(tree)
             checked += 1
     assert checked >= 30
 
