@@ -7,9 +7,9 @@ package is one of two fixpoints over it, computed by `Arena.fixpoint`:
   until  <<A>> (hold U base):  least     muX. base | (hold & pre(X))
   always <<A>> G hold:         greatest  nuX. hold & (base | pre(X))
 
-with base empty for a plain always.  The all-INF modalities of the general
-checker use them directly; the consumption-only engine uses them with the
-free bound `proj_inf(b)` and a base seeded from the split ladder.
+with base empty for a plain always.  The all-INF modalities use them
+directly; the bound ladder's bounded always uses the greatest form with the
+free bound `proj_inf(b)` and a base seeded from the lower variants.
 
 The three semantics modes differ only in `_move`, the one place where their
 rules live; every search, fixpoint and certificate check takes its moves
@@ -206,24 +206,17 @@ class Arena:
                     break
         return frozenset(result)
 
-    def fixpoint(self, hold, base, bound: Vec, *, greatest: bool = False,
-                 closed=None) -> frozenset[str]:
+    def fixpoint(self, hold, base, bound: Vec, *, greatest: bool = False
+                 ) -> frozenset[str]:
         """muX. base | (hold & pre(X)), or nuX. hold & (base | pre(X)) when
         `greatest`, with pre taken under `bound`.
 
-        The least form may be given `closed`, a part of the answer that is
-        already closed (hold & pre(closed) <= closed); the answer is then
-        closed itself when base adds nothing to it.  Both forms are
-        counter-based worklists, linear in the size of the arena: the
-        least form counts, per move, the outcomes still outside X; the
-        greatest form counts, per state, the moves still inside X.
+        Both forms are counter-based worklists, linear in the size of the
+        arena: the least form counts, per move, the outcomes still outside
+        X; the greatest form counts, per state, the moves still inside X.
         """
         if greatest:
             return self._greatest(frozenset(hold), frozenset(base), bound)
-        if closed is not None:
-            if base <= closed:
-                return frozenset(closed)
-            base = closed | base
         return self._least(frozenset(hold), frozenset(base), bound)
 
     def label(self, f: Formula, lower: dict) -> frozenset[str]:

@@ -15,6 +15,9 @@ directly: each outcome then has an earlier credit below what is left.
 A bounded always is decided by depth-first and-or search whose nodes carry
 the remaining availability.  Its check order is frozen: unbounded guard,
 strict-loss-false, loopback-true, moves.
+
+`label_all` is the one labelling loop; the consumption-only bound ladder
+of `rbatl.symbolic` runs it too, with its own bounded always.
 """
 
 from __future__ import annotations
@@ -93,7 +96,11 @@ class _Credits:
         m = arena.m
         self.fin = fin = tuple(i for i, x in enumerate(avail) if x is not INF)
         self.goal = goal = labels[f.goal]
-        hold = labels[with_bound(f, all_inf(m.r))] - goal
+        top = all_inf(m.r)
+        guard = labels.get(with_bound(f, top))
+        if guard is None:  # a bound ladder labels it after its variants
+            guard = arena.fixpoint(labels[f.hold], goal, top)
+        hold = guard - goal
         if start is None:
             region = m.states
         else:  # in model order: certificates follow insertion order
@@ -296,26 +303,48 @@ def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
     the call.
     """
     check_inputs(m, f0)
-    if stats is None:
-        stats = SearchStats()
+    return label_all(m, sub_ordered(f0), mode, _search_always,
+                     stats or SearchStats())
+
+
+def _search_always(arena: Arena, f: CoalitionAlways, labels, stats
+                   ) -> frozenset[str]:
+    search = _Search(arena.m, f, labels, arena.mode, stats, arena=arena)
+    return frozenset(
+        s for s in arena.m.states if search.box(node0(s, f.bound))[0]
+    )
+
+
+def label_all(m: Model, order, mode: Semantics, always, stats
+              ) -> dict[Formula, frozenset[str]]:
+    """The labelling loop of `model_check` and `rb_atl_label`: label each
+    formula of `order`, every strict subformula first, with bounded always
+    left to `always(arena, f, labels, stats)`.
+
+    Untils that differ only in their finite bound values share one set of
+    minimal credits, and each reads its label off them.  Equal labels are
+    kept as one object, since a bound ladder repeats them many times.
+    """
     arenas = Arenas(m, mode)
     labels: dict[Formula, frozenset[str]] = {}
-    for f in sub_ordered(f0):
+    credits: dict = {}
+    same: dict = {}
+    for f in order:
         if not is_modal(f):
-            labels[f] = atl_label(m, f, labels, mode)
+            x = atl_label(m, f, labels, mode)
         elif isinstance(f, CoalitionNext) or is_all_inf(f.bound):
-            labels[f] = arenas(f.coalition).label(f, labels)
+            x = arenas(f.coalition).label(f, labels)
         elif isinstance(f, CoalitionUntil):
-            credits = _Credits(arenas(f.coalition), f, labels, stats, f.bound)
-            labels[f] = frozenset(
-                s for s in m.states if credits.holds(s, f.bound)
-            )
+            key = (f.coalition, f.hold, f.goal,
+                   tuple(b is INF for b in f.bound))
+            c = credits.get(key)
+            if c is None:
+                c = credits[key] = _Credits(arenas(f.coalition), f, labels,
+                                            stats, f.bound)
+            x = frozenset(s for s in m.states if c.holds(s, f.bound))
         else:
-            search = _Search(m, f, labels, mode, stats,
-                             arena=arenas(f.coalition))
-            labels[f] = frozenset(
-                s for s in m.states if search.box(node0(s, f.bound))[0]
-            )
+            x = always(arenas(f.coalition), f, labels, stats)
+        labels[f] = same.setdefault(x, x)
     return labels
 
 

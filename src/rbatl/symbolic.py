@@ -1,36 +1,30 @@
-"""Fixpoint labelling for consumption-only models.
+"""The bound ladder for consumption-only models.
 
-Without production, availability only shrinks, so bounded until/always can
-be solved by set fixpoints over an extended subformula ladder instead of
+Without production, availability only shrinks, so a bounded always can be
+solved by a set fixpoint over an extended subformula ladder instead of
 tree search.  Under bound b a strategy either spends nothing on the finite
 components for good, or takes such free steps until it spends some non-zero
 d and continues under d' = b - d, whose label sits earlier in the ladder.
-With free = proj_inf(b), Z the label under free, and
+With free = proj_inf(b) and
 
   S = union over (d, d') in split(b) of hold & pre(L[d'], d)
 
-the states that can spend now, the labels are
+the states that can spend now, the label is
 
-  until:   muX. goal | S | (hold & pre_free(X)),  started from Z
   always:  nuX. hold & (S | pre_free(X))
 
-Z is closed under the free step, so the until costs no `pre` call beyond
-the split pairs when S adds nothing to Z.  For bounds with only 0/INF
-components, b = free, S is empty and the fixpoints are the plain ones.
+For bounds with only 0/INF components, b = free, S is empty and the
+fixpoint is the plain one.  Every other formula of the ladder, bounded
+until included, is labelled as `model_check` labels it, by the loop they
+share.
 """
 
 from __future__ import annotations
 
-from .atl import Arenas, Semantics, atl_label, check_inputs
+from .atl import Semantics, check_inputs
+from .checker import SearchStats, label_all
 from .errors import EngineError
-from .formula import (
-    CoalitionNext,
-    CoalitionUntil,
-    Formula,
-    is_modal,
-    sub_plus,
-    with_bound,
-)
+from .formula import Formula, sub_plus, with_bound
 from .model import Model
 from .vectors import proj_inf, split  # re-exported: split is this engine's ladder
 
@@ -47,18 +41,13 @@ def is_consumption_only(m: Model) -> bool:
     )
 
 
-def _label_bounded(arena, f, labels):
-    """One until/always label under any bound, as the module docstring says."""
-    until = isinstance(f, CoalitionUntil)
-    hold = labels[f.hold] if until else labels[f.child]
-    base = labels[f.goal] if until else frozenset()
-    free = proj_inf(f.bound)
-    closed = None
-    if free != f.bound:
-        closed = labels[with_bound(f, free)]
-        for d, dprime in split(f.bound):
-            base = base | (hold & arena.pre(labels[with_bound(f, dprime)], d))
-    return arena.fixpoint(hold, base, free, greatest=not until, closed=closed)
+def _ladder_always(arena, f, labels, stats):
+    """One bounded always label, as the module docstring says."""
+    hold = labels[f.child]
+    base = frozenset()
+    for d, dprime in split(f.bound):
+        base |= hold & arena.pre(labels[with_bound(f, dprime)], d)
+    return arena.fixpoint(hold, base, proj_inf(f.bound), greatest=True)
 
 
 def rb_atl_label(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL
@@ -70,13 +59,5 @@ def rb_atl_label(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL
             "model produces resources; the symbolic engine needs a "
             "consumption-only model, use the general checker instead"
         )
-    arenas = Arenas(m, mode)
-    labels: dict[Formula, frozenset[str]] = {}
-    for f in sub_plus(f0):
-        if not is_modal(f):
-            labels[f] = atl_label(m, f, labels, mode)
-        elif isinstance(f, CoalitionNext):
-            labels[f] = arenas(f.coalition).pre(labels[f.child], f.bound)
-        else:
-            labels[f] = _label_bounded(arenas(f.coalition), f, labels)
-    return labels
+    return label_all(m, sub_plus(f0), mode, _ladder_always,
+                     SearchStats())

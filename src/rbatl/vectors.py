@@ -114,23 +114,9 @@ def vec_geq(x: Vec, y: Vec) -> bool:
     return vec_leq(y, x)
 
 
-def vec_lt(x: Vec, y: Vec) -> bool:
-    """Strict pointwise order: <= everywhere and < somewhere."""
-    return vec_leq(x, y) and x != y
-
-
 def vec_add(x: Vec, y: Vec) -> Vec:
     _check_lengths(x, y)
     return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_max(x: Vec, y: Vec) -> Vec:
-    _check_lengths(x, y)
-    return tuple(a if b <= a else b for a, b in zip(x, y))
-
-
-def clamp0(x: Vec) -> Vec:
-    return tuple(0 if (c is not INF and c < 0) else c for c in x)
 
 
 def bound_minus_cost(e: Vec, k: Vec) -> Vec | None:
@@ -188,7 +174,3 @@ def split(bound: Vec) -> list[tuple[Vec, Vec]]:
         pairs.append((d, dprime))
     pairs.sort(key=lambda p: vec_sort_key(p[1]))
     return pairs
-
-
-def format_vec(v: Vec) -> str:
-    return ",".join("inf" if x is INF else str(x) for x in v)

@@ -91,11 +91,11 @@ def dead_end_always_game():
     )
 
 
-def zero_cost_chain(n):
-    """Total chain c0 .. c(n-1) with p at the end: idle loops in place and
-    go steps to the next state, both free."""
+def zero_cost_chain(n, cost=0):
+    """Total chain c0 .. c(n-1) with p at the end: idle loops in place for
+    free and go steps to the next state, free unless `cost` is given."""
     states = [f"c{i}" for i in range(n)]
-    actions = {s: {"a": {"idle": (0,), "go": (0,)}} for s in states}
+    actions = {s: {"a": {"idle": (0,), "go": (cost,)}} for s in states}
     transitions = {s: {("idle",): s, ("go",): states[min(i + 1, n - 1)]}
                    for i, s in enumerate(states)}
     return Model(agents=["a"], resources=["e"], states=states,

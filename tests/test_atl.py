@@ -36,8 +36,7 @@ def loop_pre(m, coalition, rho, bound, mode):
     )
 
 
-def loop_fixpoint(m, coalition, hold, base, bound, mode, *, greatest=False,
-                  closed=None):
+def loop_fixpoint(m, coalition, hold, base, bound, mode, *, greatest=False):
     """The fixpoints by rounds of `loop_pre` until nothing changes."""
     if greatest:
         rho = hold
@@ -46,10 +45,7 @@ def loop_fixpoint(m, coalition, hold, base, bound, mode, *, greatest=False,
             if nxt == rho:
                 return rho
             rho = nxt
-    if closed is None:
-        rho, tau = base, hold & loop_pre(m, coalition, base, bound, mode)
-    else:
-        rho, tau = closed, base
+    rho, tau = base, hold & loop_pre(m, coalition, base, bound, mode)
     while not tau <= rho:
         rho = rho | tau
         tau = hold & loop_pre(m, coalition, rho, bound, mode)
@@ -193,15 +189,6 @@ def test_arena_fixpoint_matches_the_loop():
                                              greatest=greatest)
                         got = arena.fixpoint(hold, base, b, greatest=greatest)
                         assert got == want
-                    # the least form from a closed part of its answer
-                    part = random_states(rng, m, 0.5) & base
-                    closed = loop_fixpoint(m, A, hold, part, b, mode)
-                    want = loop_fixpoint(m, A, hold, base, b, mode,
-                                         closed=closed)
-                    assert arena.fixpoint(hold, base, b,
-                                          closed=closed) == want
-                    assert want == loop_fixpoint(m, A, hold, base | closed,
-                                                 b, mode)
 
 
 def test_arena_fixpoint_keeps_a_move_without_outcomes():

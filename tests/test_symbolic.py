@@ -12,10 +12,11 @@ from rbatl import (
     rb_atl_label,
     split,
 )
-from rbatl.formula import sub_ordered
+from rbatl.formula import sub_ordered, with_bound
 from rbatl.symbolic import is_consumption_only
 
 import modelgen
+from ladder import ladder_until
 
 
 def test_refuses_production_models(fig1):
@@ -127,17 +128,31 @@ def _agreement_cases():
         yield modelgen.dead_end_always_game(), parse_formula("<{a}: 0> G true"), mode
 
 
+def _agree_with_ladder(m, f, mode, sym_labels):
+    """Every bounded until of the ladder against the reference, which
+    shares no code with the credit engine; the number compared."""
+    ladder = ladder_until(m, f, sym_labels, mode)
+    for g, want in ladder.items():
+        assert sym_labels[g] == want, (mode, g, sorted(sym_labels[g]),
+                                       sorted(want))
+    return len(ladder)
+
+
 def test_engine_agreement_random():
+    untils = 0
     for m, f, mode in _agreement_cases():
         tree_labels = model_check(m, f, mode)
         sym_labels = rb_atl_label(m, f, mode)
         for g in sub_ordered(f):
             assert tree_labels[g] == sym_labels[g], (
                 mode, g, sorted(tree_labels[g]), sorted(sym_labels[g]))
+        untils += _agree_with_ladder(m, f, mode, sym_labels)
+    assert untils > 500
 
 
 def test_engine_agreement_with_inf_components():
     rng = random.Random(42)
+    untils = 0
     for _ in range(25):
         m = modelgen.random_consumption_model(rng)
         f = modelgen.random_formula(rng, m, inf_prob=0.3)
@@ -145,6 +160,8 @@ def test_engine_agreement_with_inf_components():
         sym_labels = rb_atl_label(m, f)
         for g in sub_ordered(f):
             assert tree_labels[g] == sym_labels[g]
+        untils += _agree_with_ladder(m, f, Semantics.RBATL, sym_labels)
+    assert untils > 20
 
 
 def test_label_monotone_across_ladder(chain):
@@ -155,3 +172,15 @@ def test_label_monotone_across_ladder(chain):
         cur = labels[parse_formula("<{a}: %d> (true U p)" % b)]
         assert prev <= cur
         prev = cur
+
+
+def test_unit_cost_chain_ladder_of_201_bounds():
+    # c_i wins at bound k iff its distance to p, n - 1 - i, is at most k;
+    # the ladder labels all 201 variants off one set of minimal credits
+    n = 200
+    m = modelgen.zero_cost_chain(n, cost=1)
+    f = parse_formula("<{a}: 200> (true U p)")
+    labels = rb_atl_label(m, f)
+    for k in range(201):
+        want = frozenset(f"c{i}" for i in range(n) if n - 1 - i <= k)
+        assert labels[with_bound(f, (k,))] == want

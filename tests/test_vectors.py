@@ -4,14 +4,12 @@ from hypothesis import strategies as st
 
 from rbatl import INF, VectorError, bound_minus_cost, vec_leq
 from rbatl.vectors import (
-    clamp0,
     is_bound_vec,
     is_cost_vec,
     proj_inf,
     split,
     vec_add,
     vec_geq,
-    vec_max,
     vec_sort_key,
 )
 
@@ -110,8 +108,6 @@ def vec_add_with_inf(x, y):
 
 
 def test_misc_helpers():
-    assert clamp0((-1, 3, INF)) == (0, 3, INF)
-    assert vec_max((1, 5), (2, 0)) == (2, 5)
     assert vec_geq((2,), (1,))
     assert proj_inf((0, INF, 3)) == (0, INF, 0)
     assert is_bound_vec((0, INF)) and not is_bound_vec((-1,))
