@@ -16,13 +16,17 @@ rules live; every search, fixpoint and certificate check takes its moves
 from it, through `move` or an `Arena` row, except the oracle, which keeps
 its own loops as the reference.  A labelling call compiles the moves once
 per coalition into an `Arena`, which its predecessor steps, fixpoints,
-until credits and always search share.
+until credits and always search share.  An arena row keeps each move as
+four plain values, (action names, net cost, step budget, outcome tuple);
+a `JointAction` is built from them only where a certificate records the
+move, in `rbatl.checker`.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import operator
 
 from .errors import EngineError, FormulaError, ModelError, VectorError
 from .formula import (
@@ -59,7 +63,8 @@ class Semantics(enum.Enum):
 
 def consumption_joint(m: Model, state: str, ja: JointAction) -> Vec:
     """Per-resource sum of the members' consumption, ignoring production."""
-    return _consumption(_columns(_member_costs(m, state, ja), m.zero_cost()))
+    return _step_costs(_member_costs(m, state, ja), m.zero_cost(),
+                       Semantics.RAL_FINITE)[1]
 
 
 def _member_costs(m: Model, state: str, ja: JointAction) -> list[Vec]:
@@ -67,25 +72,26 @@ def _member_costs(m: Model, state: str, ja: JointAction) -> list[Vec]:
             for agent, action in zip(ja.agents, ja.actions)]
 
 
-def _columns(member_costs, zero: Vec) -> list[tuple]:
-    """Per resource, a 0 and the members' costs."""
-    try:
-        return list(zip(zero, *member_costs, strict=True))
-    except ValueError:
-        raise VectorError(
-            f"cost vector length does not match {len(zero)} resources"
-        ) from None
-
-
-def _consumption(columns) -> Vec:
-    return tuple(sum(c for c in column if c > 0) for column in columns)
+def _consumption(member_costs, zero: Vec) -> Vec:
+    if not member_costs:
+        return zero
+    return tuple(sum(c for c in column if c > 0)
+                 for column in zip(*member_costs))
 
 
 def _step_costs(member_costs, zero: Vec, mode: Semantics) -> tuple[Vec, Vec]:
-    columns = _columns(member_costs, zero)
-    cost = tuple(map(sum, columns))
+    r = len(zero)
+    for cost in member_costs:
+        if len(cost) != r:
+            raise VectorError(f"cost vector length does not match {r} resources")
+    if len(member_costs) == 1:
+        cost = member_costs[0]
+    elif not member_costs:
+        cost = zero
+    else:
+        cost = tuple(map(sum, zip(*member_costs)))
     if mode is Semantics.RAL_FINITE:
-        return cost, _consumption(columns)
+        return cost, _consumption(member_costs, zero)
     return cost, cost
 
 
@@ -97,27 +103,26 @@ def step_costs(m: Model, state: str, ja: JointAction, mode: Semantics
     return _step_costs(_member_costs(m, state, ja), m.zero_cost(), mode)
 
 
-def _move(ja: JointAction, member_costs, zero: Vec, avail, outcomes,
-          mode: Semantics):
+def _move(choice, member_costs, zero: Vec, avail, outs, mode: Semantics):
     """The rules of the three modes, shared by `move` and `Arena.row`:
-    the move if its step budget fits avail (always, for avail None, the
-    all-INF availability) and it counts in this mode, else None.
-    `outcomes()` gives its outcome list and is called only for a move that
-    fits; a move with no outcomes counts only under rbatl."""
+    (choice, net cost, step budget, outs) if the step budget fits avail
+    (always, for avail None, the all-INF availability) and the move counts
+    in this mode, else None.  `choice` is passed through: the JointAction
+    for `move`, the action names for a row.  A move with no outcomes counts
+    only under rbatl."""
     cost, need = _step_costs(member_costs, zero, mode)
     if avail is not None and not vec_leq(need, avail):
         return None
-    outs = outcomes()
     if not outs and mode is not Semantics.RBATL:
         return None
-    return ja, cost, need, outs
+    return choice, cost, need, outs
 
 
 def move(m: Model, state: str, ja: JointAction, avail: Vec, mode: Semantics):
     """(ja, net cost, step budget, outcomes) if ja's step budget fits avail
     and the move counts in this mode, else None."""
     return _move(ja, _member_costs(m, state, ja), m.zero_cost(), avail,
-                 lambda: m.outcomes(state, ja), mode)
+                 m.outcomes(state, ja), mode)
 
 
 def moves(m: Model, state: str, agents, avail: Vec, mode: Semantics):
@@ -133,20 +138,32 @@ class Arena:
     """The game of one (model, coalition, mode), compiled on use.
 
     A state's row holds its moves as `moves` gives them under an all-INF
-    availability, each with its outcome set added:
-    (ja, net cost, step budget, outcomes, outcome frozenset), in
-    `coalition_actions` order.  Filtering a row by step budget gives the
-    moves under any availability, since whether a move counts does not
-    depend on it.  Rows are compiled on a state's first use, and the
-    predecessor index on the first fixpoint.  An arena serves the queries
-    of one labelling call; it is not kept on the model, whose lifetime
-    would keep every row alive.
+    availability, each as four plain values:
+    (actions, net cost, step budget, outcomes), in `coalition_actions`
+    order.  `actions` is the coalition's tuple of action names, in the
+    order of `agents`; the `JointAction(agents, actions)` is built only
+    where a certificate records the move.  `outcomes` is a tuple in model
+    state order.  Filtering a row by step budget gives the moves under
+    any availability, since whether a move counts does not depend on it.
+    Rows are compiled on a state's first use, and the predecessor index
+    on the first fixpoint.  An arena serves the queries of one labelling
+    call; it is not kept on the model, whose lifetime would keep every
+    row alive.
     """
 
     def __init__(self, m: Model, coalition, mode: Semantics = Semantics.RBATL):
         self.m = m
         self.agents = m.normalize_coalition(coalition)
         self.mode = mode
+        # the coalition's part of a full joint action, as a tuple of names;
+        # itemgetter gives a tuple only for two or more indices
+        picks = [m._agent_index[agent] for agent in self.agents]
+        if len(picks) > 1:
+            self._part = operator.itemgetter(*picks)
+        elif picks:
+            self._part = lambda combo, i=picks[0]: (combo[i],)
+        else:
+            self._part = lambda combo: ()
         self._rows: dict = {}
         self._index = None
 
@@ -164,34 +181,39 @@ class Arena:
         transition on an action outside its agent's menu is never taken."""
         m = self.m
         menus = m.actions.get(state, {})
-        full = [menus.get(agent, {}) for agent in m.agents]
-        picks = [m._agent_index[agent] for agent in self.agents]
         transitions = m.transitions.get(state, {})
+        part = self._part
         targets: dict = {}  # coalition actions -> outcome states
-        for combo in itertools.product(*full):
+        for combo in itertools.product(*[menus.get(agent, {})
+                                         for agent in m.agents]):
             target = transitions.get(combo)
             if target is not None:
-                targets.setdefault(tuple(map(combo.__getitem__, picks)),
-                                   set()).add(target)
+                targets.setdefault(part(combo), set()).add(target)
         order, last = m._state_index, len(m.states)
-        members = [tuple(menus.get(agent, {}).items())
-                   for agent in self.agents]
-        zero = m.zero_cost()
+        rank = lambda s: order.get(s, last)
+        names, costs = [], []
+        for agent in self.agents:
+            menu = menus.get(agent, {})
+            names.append(tuple(menu))
+            costs.append(tuple(menu.values()))
+        zero, mode = m.zero_cost(), self.mode
         row = []
-        for choice in itertools.product(*members):
-            actions = tuple(action for action, _ in choice)
+        for actions, member_costs in zip(itertools.product(*names),
+                                         itertools.product(*costs)):
             seen = targets.get(actions, ())
-            mv = _move(JointAction(self.agents, actions),
-                       [cost for _, cost in choice], zero, None,
-                       lambda: sorted(seen, key=lambda s: order.get(s, last)),
-                       self.mode)
+            outs = tuple(sorted(seen, key=rank) if len(seen) > 1 else seen)
+            mv = _move(actions, member_costs, zero, None, outs, mode)
             if mv is not None:
-                row.append((*mv, frozenset(seen)))
+                row.append(mv)
         return tuple(row)
 
     def moves(self, state: str, avail: Vec):
         """The moves at state whose step budget fits avail, in row order."""
-        return [mv for mv in self.row(state) if vec_leq(mv[2], avail)]
+        if len(avail) != self.m.r:
+            raise VectorError(f"availability of length {len(avail)} for "
+                              f"{self.m.r} resources")
+        le = operator.le
+        return [mv for mv in self.row(state) if all(map(le, mv[2], avail))]
 
     def pre(self, rho, bound: Vec) -> frozenset[str]:
         """States with a move within `bound` whose outcomes all land in
@@ -200,8 +222,8 @@ class Arena:
         fits = _fits(bound)
         result = set()
         for s in self.m.states:
-            for _, _, need, _, outset in self.row(s):
-                if outset <= rho and fits(need):
+            for _, _, need, outs in self.row(s):
+                if rho.issuperset(outs) and fits(need):
                     result.add(s)
                     break
         return frozenset(result)
@@ -233,15 +255,15 @@ class Arena:
                              greatest=True)
 
     def _compiled(self):
-        """(owner state, step budget, outcome set) per move id, and the ids
-        of the moves with each state among their outcomes."""
+        """(owner state, step budget, outcomes) per move id, and the ids of
+        the moves with each state among their outcomes."""
         if self._index is None:
             owners, preds = [], {}
             for s in self.m.states:
-                for _, _, need, _, outset in self.row(s):
+                for _, _, need, outs in self.row(s):
                     mid = len(owners)
-                    owners.append((s, need, outset))
-                    for o in outset:
+                    owners.append((s, need, outs))
+                    for o in outs:
                         preds.setdefault(o, []).append(mid)
             self._index = owners, preds
         return self._index
@@ -252,10 +274,13 @@ class Arena:
         inside = set(start)
         work = []
         outside = {}  # move id -> outcomes not yet in X, counted against start
-        for mid, (s, need, outset) in enumerate(owners):
+        for mid, (s, need, outs) in enumerate(owners):
             if s in start or s not in hold or not fits(need):
                 continue
-            n = len(outset - start)
+            n = 0
+            for o in outs:
+                if o not in start:
+                    n += 1
             if n:
                 outside[mid] = n
             elif s not in inside:
@@ -282,10 +307,13 @@ class Arena:
         fits = _fits(bound)
         outside = {}  # move id -> outcomes no longer in X
         good = dict.fromkeys(hold - base, 0)  # state -> moves inside X
-        for mid, (s, need, outset) in enumerate(owners):
+        for mid, (s, need, outs) in enumerate(owners):
             if s not in good or not fits(need):
                 continue
-            n = len(outset - hold)
+            n = 0
+            for o in outs:
+                if o not in hold:
+                    n += 1
             outside[mid] = n
             if not n:
                 good[s] += 1

@@ -40,7 +40,7 @@ from .formula import (
     sub_ordered,
     with_bound,
 )
-from .model import Model
+from .model import JointAction, Model
 from .vectors import INF, Vec, all_inf, bound_minus_cost, is_all_inf, vec_geq, vec_leq
 from .witness import (
     INTERNAL,
@@ -94,6 +94,7 @@ class _Credits:
     def __init__(self, arena: Arena, f: CoalitionUntil, labels, stats,
                  avail: Vec, start: str | None = None):
         m = arena.m
+        self.agents = arena.agents
         self.fin = fin = tuple(i for i, x in enumerate(avail) if x is not INF)
         self.goal = goal = labels[f.goal]
         top = all_inf(m.r)
@@ -185,7 +186,7 @@ class _Credits:
             entries = self.entries[node.state]
             mv = next(entries[i][1] for i in range(first, len(entries))
                       if _leq(entries[i][0], want))
-            node.action = mv[0]
+            node.action = JointAction(self.agents, mv[0])
             after = bound_minus_cost(node.avail, mv[1])
             if after is None:
                 raise EngineError("availability underflow past the credit")
@@ -246,7 +247,7 @@ class _Search:
                                      loopback=i)
                 return True, wn
         child_path = node.path + (node,)
-        for ja, cost, _, outs, _ in self.arena.moves(s, node.avail):
+        for actions, cost, _, outs in self.arena.moves(s, node.avail):
             after = bound_minus_cost(node.avail, cost)
             if after is None:
                 raise EngineError("availability underflow past the cost filter")
@@ -261,7 +262,8 @@ class _Search:
             if ok:
                 wn = None
                 if self.collect:
-                    wn = WitnessNode(s, node.avail, node.avail, INTERNAL, ja,
+                    wn = WitnessNode(s, node.avail, node.avail, INTERNAL,
+                                     JointAction(self.arena.agents, actions),
                                      kids)
                 return True, wn
         return False, None

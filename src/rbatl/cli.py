@@ -9,6 +9,7 @@ traceback goes to stderr).  Codes 2 and 3 hold for every subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -228,7 +229,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="machine-readable output")
     check.add_argument("--all-labels", action="store_true",
                        help="also print the full labelling map")
-    check.set_defaults(func=cmd_check)
 
     petri = sub.add_parser(
         "petri", help="reduce a net coverability question to a check query"
@@ -238,22 +238,29 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="target marking, comma-separated per place")
     petri.add_argument("--model-out", help="write the reduced model here")
     petri.add_argument("--formula-out", help="write the paired formula here")
-    petri.set_defaults(func=cmd_petri)
 
     translate = sub.add_parser(
         "translate", help="rewrite per-agent endowments into a single bound"
     )
     translate.add_argument("formula", help="formula text, @file, or a file path")
-    translate.set_defaults(func=cmd_translate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call: parsing leaves the
+    parser unchanged, so one serves every call in a process."""
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on each call, not stored in the parser that calls share
+    command = {"check": cmd_check, "petri": cmd_petri,
+               "translate": cmd_translate}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (RBATLError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

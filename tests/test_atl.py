@@ -1,19 +1,22 @@
 import random
 from collections import Counter
 
+import pytest
+
 from rbatl import (
     INF,
     Model,
     Prop,
     Semantics,
     TRUE,
+    VectorError,
     atl_label,
     model_check,
     parse_formula,
     pre,
     rb_atl_label,
 )
-from rbatl.atl import Arena, consumption_joint, moves
+from rbatl.atl import Arena, consumption_joint, move, moves
 from rbatl.formula import sub_ordered
 from rbatl.model import JointAction
 from rbatl.vectors import all_inf, proj_inf
@@ -257,11 +260,32 @@ def test_compiled_rows_match_moves():
             for A in ([], list(m.agents), modelgen.random_coalition(rng, m)):
                 arena = Arena(m, A, mode)
                 for s in m.states:
-                    want = [(*mv, frozenset(mv[3])) for mv in
-                            moves(m, s, arena.agents, all_inf(m.r), mode)]
+                    want = [(mv[0].actions, mv[1], mv[2], tuple(mv[3]))
+                            for mv in moves(m, s, arena.agents, all_inf(m.r),
+                                            mode)]
                     assert list(arena.row(s)) == want
                     checked += 1
     assert checked > 1000
+    # a multi-outcome row keeps model state order, not name order
+    assert Arena(stray, ["a"]).row("s")[0][3] == ("t", "d")
+    assert Arena(stray, []).row("s")[0][3] == ("s", "t", "d", "gone")
+
+
+def test_row_and_move_check_cost_lengths():
+    # an unvalidated one-resource model whose action x costs a 2-vector
+    m = Model(
+        agents=["a", "b"], resources=["e"], states=["s"], labels={},
+        actions={"s": {"a": {"x": (1, 2)}, "b": {"y": (0,)}}},
+        transitions={"s": {("x", "y"): "s"}}, total=False)
+    for mode in MODES:
+        for A in (["a"], ["a", "b"]):
+            with pytest.raises(VectorError):
+                Arena(m, A, mode).row("s")
+            ja = JointAction(tuple(A), ("x", "y")[:len(A)])
+            with pytest.raises(VectorError):
+                move(m, "s", ja, all_inf(1), mode)
+    with pytest.raises(VectorError):
+        Arena(modelgen.zero_cost_chain(2), ["a"]).moves("c0", (0, 0))
 
 
 def test_long_chain_fixpoints():

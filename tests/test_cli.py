@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import rbatl
 
 from rbatl import (
     WitnessError,
@@ -13,6 +19,7 @@ from rbatl import (
     parse_formula,
     validate_witness,
 )
+from rbatl import cli
 from rbatl.cli import main
 from rbatl.petri import PetriNet
 
@@ -263,3 +270,28 @@ def test_translate_subcommand(capsys):
     code, _, err = run(capsys, "translate", "<{a; b:2}> X p")
     assert code == 2
     assert "no endowment row" in err
+
+
+def test_main_reuses_one_parser_without_leaking_options(fig1_path, capsys,
+                                                        monkeypatch):
+    built = []
+    build = cli.build_arg_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_arg_parser", counted)
+    cli._parser.cache_clear()
+    query = [fig1_path, "<{a1}: 3,1> (true U p)", "--state", "s_I"]
+    env = dict(os.environ, PYTHONPATH=str(Path(rbatl.__file__).parents[1]))
+    for argv in (["check", *query, "--json"],
+                 ["translate", "<{a:1; b:2}> X p"],
+                 ["check", *query]):
+        argv = [str(a) for a in argv]
+        fresh = subprocess.run([sys.executable, "-m", "rbatl", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout,
+                                      fresh.stderr)
+    assert len(built) == 1
