@@ -1,8 +1,8 @@
 """Model checking for alternating-time logic with resource production and
-consumption: explicit-state fixpoints, minimal credits for bounded until,
-budget-aware strategy search for bounded always, a consumption-only
-symbolic engine, strategy certificates, and a Petri-net coverability
-bridge for differential testing.
+consumption: explicit-state fixpoints, minimal credits for bounded until
+and always, budget-aware strategy search for the rest of bounded always,
+a consumption-only bound ladder, strategy certificates, and a Petri-net
+coverability bridge for differential testing.
 """
 
 from .atl import Semantics, atl_label, consumption_joint, eval_propositional, pre

@@ -1,15 +1,15 @@
 """One-step controllable predecessors and the set fixpoints over them.
 
 `pre(m, A, X, b, mode)` is the set of states where coalition A has a move
-within bound b whose outcomes all land in X.  Every set labelling in the
-package is one of two fixpoints over it, computed by `Arena.fixpoint`:
+within bound b whose outcomes all land in X.  The all-INF modalities are
+the two fixpoints over it under the all-INF bound, computed by
+`Arena.fixpoint`:
 
-  until  <<A>> (hold U base):  least     muX. base | (hold & pre(X))
-  always <<A>> G hold:         greatest  nuX. hold & (base | pre(X))
+  until  <<A>> (hold U goal):  least     muX. goal | (hold & pre(X))
+  always <<A>> G hold:         greatest  nuX. hold & pre(X)
 
-with base empty for a plain always.  The all-INF modalities use them
-directly; the bound ladder's bounded always uses the greatest form with the
-free bound `proj_inf(b)` and a base seeded from the lower variants.
+and they are the guards of the bounded ones, whose credits live in
+`rbatl.checker`.
 
 The three semantics modes differ only in `_move`, the one place where their
 rules live; every search, fixpoint and certificate check takes its moves
@@ -219,27 +219,26 @@ class Arena:
         """States with a move within `bound` whose outcomes all land in
         rho."""
         rho = frozenset(rho)
-        fits = _fits(bound)
+        free = is_all_inf(bound)
         result = set()
         for s in self.m.states:
             for _, _, need, outs in self.row(s):
-                if rho.issuperset(outs) and fits(need):
+                if rho.issuperset(outs) and (free or vec_leq(need, bound)):
                     result.add(s)
                     break
         return frozenset(result)
 
-    def fixpoint(self, hold, base, bound: Vec, *, greatest: bool = False
-                 ) -> frozenset[str]:
-        """muX. base | (hold & pre(X)), or nuX. hold & (base | pre(X)) when
-        `greatest`, with pre taken under `bound`.
+    def fixpoint(self, hold, goal=None) -> frozenset[str]:
+        """muX. goal | (hold & pre(X)) given a goal, else
+        nuX. hold & pre(X), with pre under the all-INF bound.
 
         Both forms are counter-based worklists, linear in the size of the
         arena: the least form counts, per move, the outcomes still outside
         X; the greatest form counts, per state, the moves still inside X.
         """
-        if greatest:
-            return self._greatest(frozenset(hold), frozenset(base), bound)
-        return self._least(frozenset(hold), frozenset(base), bound)
+        if goal is None:
+            return self._greatest(frozenset(hold))
+        return self._least(frozenset(hold), frozenset(goal))
 
     def label(self, f: Formula, lower: dict) -> frozenset[str]:
         """Label a modality of this arena's coalition given labels for its
@@ -250,32 +249,30 @@ class Arena:
         if not is_all_inf(f.bound):
             raise EngineError("bounded until/always go to the bounded checker")
         if isinstance(f, CoalitionUntil):
-            return self.fixpoint(lower[f.hold], lower[f.goal], f.bound)
-        return self.fixpoint(lower[f.child], frozenset(), f.bound,
-                             greatest=True)
+            return self.fixpoint(lower[f.hold], lower[f.goal])
+        return self.fixpoint(lower[f.child])
 
     def _compiled(self):
-        """(owner state, step budget, outcomes) per move id, and the ids of
-        the moves with each state among their outcomes."""
+        """(owner state, outcomes) per move id, and the ids of the moves
+        with each state among their outcomes."""
         if self._index is None:
             owners, preds = [], {}
             for s in self.m.states:
-                for _, _, need, outs in self.row(s):
+                for _, _, _, outs in self.row(s):
                     mid = len(owners)
-                    owners.append((s, need, outs))
+                    owners.append((s, outs))
                     for o in outs:
                         preds.setdefault(o, []).append(mid)
             self._index = owners, preds
         return self._index
 
-    def _least(self, hold, start, bound):
+    def _least(self, hold, start):
         owners, preds = self._compiled()
-        fits = _fits(bound)
         inside = set(start)
         work = []
         outside = {}  # move id -> outcomes not yet in X, counted against start
-        for mid, (s, need, outs) in enumerate(owners):
-            if s in start or s not in hold or not fits(need):
+        for mid, (s, outs) in enumerate(owners):
+            if s in start or s not in hold:
                 continue
             n = 0
             for o in outs:
@@ -302,13 +299,12 @@ class Arena:
                     work.append(s)
         return frozenset(inside)
 
-    def _greatest(self, hold, base, bound):
+    def _greatest(self, hold):
         owners, preds = self._compiled()
-        fits = _fits(bound)
         outside = {}  # move id -> outcomes no longer in X
-        good = dict.fromkeys(hold - base, 0)  # state -> moves inside X
-        for mid, (s, need, outs) in enumerate(owners):
-            if s not in good or not fits(need):
+        good = dict.fromkeys(hold, 0)  # state -> moves inside X
+        for mid, (s, outs) in enumerate(owners):
+            if s not in good:
                 continue
             n = 0
             for o in outs:
@@ -350,14 +346,6 @@ class Arenas:
         if arena is None:
             arena = self._by_agents[agents] = Arena(self.m, agents, self.mode)
         return arena
-
-
-def _fits(bound: Vec):
-    """The test `need <= bound` on step budgets, free for an all-INF
-    bound."""
-    if is_all_inf(bound):
-        return lambda need: True
-    return lambda need: vec_leq(need, bound)
 
 
 def pre(m: Model, coalition, rho, bound: Vec, mode: Semantics = Semantics.RBATL

@@ -1,23 +1,28 @@
 """The general labelling engine: dispatcher, minimal credits and the
 always search.
 
-A bounded until <<A>>_b (hold U goal) is decided by minimal credits.  The
-availabilities from which A can force the goal are upward-closed, so each
-state's are the upward closure of a finite antichain of minimal credits
-(Dickson's lemma), taken over the finite components of b.  A goal state
-needs nothing; a hold state needs, for one of its moves and one credit per
-outcome, max(0, step budget, outcome credit + cost).  A worklist adds
-candidates until none is undominated; a state satisfies the until when one
-of its credits fits b.  Every inserted credit keeps its move, so the
-earliest-inserted credit below an availability gives a finite strategy
-directly: each outcome then has an earlier credit below what is left.
+Bounded until and always are decided by minimal credits.  The
+availabilities from which A wins are upward-closed, so each state's are
+the upward closure of a finite antichain of minimal credits (Dickson's
+lemma), taken over the finite components of b.  For one move and one
+credit per outcome, a state needs max(0, step budget, outcome credit +
+cost).  An until adds candidates from credit 0 on its goal states until
+none is undominated (a least fixpoint).  Every inserted credit keeps its
+move, so the earliest-inserted credit below an availability gives a
+finite strategy: each outcome then has an earlier credit below what is
+left.  An always starts from credit 0 on every state of its unbounded
+label and recomputes antichains until none changes (a greatest fixpoint,
+as in the consumption games of Brázdil, Chatterjee, Kučera and Novotný,
+CAV 2012).  Where no move it reads produces on a finite component,
+availability never grows, so dropping every credit above the largest
+bound asked for is exact.
 
-A bounded always is decided by depth-first and-or search whose nodes carry
-the remaining availability.  Its check order is frozen: unbounded guard,
-strict-loss-false, loopback-true, moves.
+Other bounded always, and always certificates, come from depth-first
+and-or search whose nodes carry the remaining availability.  Its check
+order is frozen: unbounded guard, strict-loss-false, loopback-true, moves.
 
-`label_all` is the one labelling loop; the consumption-only bound ladder
-of `rbatl.symbolic` runs it too, with its own bounded always.
+`label_all` is the one labelling loop, of `model_check` and of the
+consumption-only bound ladder of `rbatl.symbolic`.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .formula import (
     CoalitionNext,
     CoalitionUntil,
     Formula,
+    children,
     format_formula,
     is_modal,
     sub_ordered,
@@ -56,8 +62,10 @@ class SearchStats:
     """Instrumentation for the bounded modalities (per model_check call).
 
     An until adds its inserted credits to `nodes` and the height of its
-    tallest strategy to `max_depth`; `pumps` and `cache_hits` belong to
-    the pumping search this engine replaced and stay 0.
+    tallest strategy to `max_depth`.  An always on credits adds one to
+    `nodes` per recomputed antichain, and the always search its search
+    nodes and their depth.  `pumps` and `cache_hits` belong to the pumping
+    search the credits replaced and stay 0.
     """
 
     nodes: int = 0
@@ -84,24 +92,29 @@ def _leq(x, y) -> bool:
 
 
 class _Credits:
-    """The minimal credits of one bounded until on an arena.
+    """The minimal credits of one bounded until or always on an arena.
 
     Credits range over the components where `avail` is finite.  With
     `start`, only the states reachable from it through hold states are
-    solved, which is all a certificate from `start` needs.
+    solved, which is all an until certificate from `start` needs.  An
+    always drops every credit above `avail`, its cap; its `minimal` is
+    None when a move it reads produces on a finite component, since then
+    no cap is exact.
     """
 
-    def __init__(self, arena: Arena, f: CoalitionUntil, labels, stats,
-                 avail: Vec, start: str | None = None):
-        m = arena.m
+    def __init__(self, arena: Arena, f, labels, stats, avail: Vec,
+                 start: str | None = None):
         self.agents = arena.agents
-        self.fin = fin = tuple(i for i, x in enumerate(avail) if x is not INF)
-        self.goal = goal = labels[f.goal]
-        top = all_inf(m.r)
-        guard = labels.get(with_bound(f, top))
+        self.fin = tuple(i for i, x in enumerate(avail) if x is not INF)
+        guard = labels.get(with_bound(f, all_inf(arena.m.r)))
         if guard is None:  # a bound ladder labels it after its variants
-            guard = arena.fixpoint(labels[f.hold], goal, top)
+            guard = arena.fixpoint(*(labels[g] for g in children(f)))
+        if isinstance(f, CoalitionAlways):
+            self._always(arena, guard, avail, stats)
+            return
+        self.goal = goal = labels[f.goal]
         hold = guard - goal
+        m = arena.m
         if start is None:
             region = m.states
         else:  # in model order: certificates follow insertion order
@@ -134,15 +147,13 @@ class _Credits:
         preds = {}  # outcome -> (owner, move, credit floor, projected cost)
         for s in region:
             if s in goal:
-                insert(s, (0,) * len(fin), None, 1)
+                insert(s, (0,) * len(self.fin), None, 1)
                 continue
             if s not in hold:
                 continue
-            for mv in arena.row(s):
-                floor = tuple(max(0, mv[2][i]) for i in fin)
+            for mv, floor, cost in self._steps(arena, s):
                 if not mv[3]:
                     insert(s, floor, mv, 1)
-                cost = tuple(mv[1][i] for i in fin)
                 for o in mv[3]:
                     preds.setdefault(o, []).append((s, mv, floor, cost))
         while work:
@@ -163,6 +174,57 @@ class _Credits:
                         height = 1 + max(heights[o, c]
                                          for o, c in zip(mv[3], combo))
                         insert(s, cand, mv, height)
+
+    def _steps(self, arena: Arena, s: str):
+        """(move, credit floor, cost) per move of s, the floor max(0, step
+        budget) and the cost taken on the finite components."""
+        fin = self.fin
+        for mv in arena.row(s):
+            yield (mv, tuple(max(0, mv[2][i]) for i in fin),
+                   tuple(mv[1][i] for i in fin))
+
+    def _always(self, arena: Arena, guard, cap: Vec, stats) -> None:
+        """Credit 0 on every guard state, then a state worklist: a state's
+        antichain is recomputed from its moves that stay in the guard, and
+        a change requeues its predecessors.  Credits only rise, so the
+        antichains shrink to the greatest fixpoint."""
+        cap = tuple(cap[i] for i in self.fin)
+        states = [s for s in arena.m.states if s in guard]
+        steps, preds = {}, {}
+        for s in states:
+            mine = steps[s] = []
+            for mv, floor, cost in self._steps(arena, s):
+                if not guard.issuperset(mv[3]):
+                    continue
+                if any(c < 0 for c in cost):
+                    self.minimal = None
+                    return
+                mine.append((floor, cost, mv[3]))
+                for o in mv[3]:
+                    preds.setdefault(o, {})[s] = None
+        minimal = self.minimal = dict.fromkeys(states, ((0,) * len(cap),))
+        work = deque(states)
+        queued = set(states)
+        while work:
+            s = work.popleft()
+            queued.discard(s)
+            stats.nodes += 1
+            new = []
+            for floor, cost, outs in steps[s]:
+                for combo in itertools.product(*(minimal[o] for o in outs)):
+                    cand = tuple(max(fl, c + max(xs)) for fl, c, xs
+                                 in zip(floor, cost, zip(*combo))
+                                 ) if combo else floor
+                    if not _leq(cand, cap) or any(_leq(c, cand) for c in new):
+                        continue
+                    new = [c for c in new if not _leq(cand, c)]
+                    new.append(cand)
+            if set(new) != set(minimal[s]):
+                minimal[s] = tuple(new)
+                for p in preds.get(s, ()):
+                    if p not in queued:
+                        queued.add(p)
+                        work.append(p)
 
     def holds(self, state: str, avail: Vec) -> bool:
         want = tuple(avail[i] for i in self.fin)
@@ -299,53 +361,59 @@ def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
 
     Propositions and connectives are set algebra; all-INF modalities go to
     the classical fixpoints; bounded next is a single predecessor step; a
-    bounded until is one minimal-credit computation over all states, and
-    a bounded always runs the tree search from every state.  All of them
-    take their moves from one arena per coalition, kept for the length of
-    the call.
+    bounded until or always reads its label off one minimal-credit
+    computation over all states, except an always whose moves produce,
+    which runs the tree search from every state.  All of them take their
+    moves from one arena per coalition, kept for the length of the call.
     """
     check_inputs(m, f0)
-    return label_all(m, sub_ordered(f0), mode, _search_always,
-                     stats or SearchStats())
+    return label_all(m, sub_ordered(f0), mode, stats or SearchStats())
 
 
-def _search_always(arena: Arena, f: CoalitionAlways, labels, stats
-                   ) -> frozenset[str]:
-    search = _Search(arena.m, f, labels, arena.mode, stats, arena=arena)
-    return frozenset(
-        s for s in arena.m.states if search.box(node0(s, f.bound))[0]
-    )
+def _credit_key(f):
+    """Bounded modalities that differ only in their finite bound values
+    share one set of minimal credits."""
+    return f.coalition, children(f), tuple(b is INF for b in f.bound)
 
 
-def label_all(m: Model, order, mode: Semantics, always, stats
+def label_all(m: Model, order, mode: Semantics, stats
               ) -> dict[Formula, frozenset[str]]:
     """The labelling loop of `model_check` and `rb_atl_label`: label each
-    formula of `order`, every strict subformula first, with bounded always
-    left to `always(arena, f, labels, stats)`.
+    formula of `order`, every strict subformula first.
 
-    Untils that differ only in their finite bound values share one set of
-    minimal credits, and each reads its label off them.  Equal labels are
-    kept as one object, since a bound ladder repeats them many times.
+    Untils and always that differ only in their finite bound values share
+    one set of minimal credits, and each reads its label off them.  An
+    always's credits are capped at the componentwise largest of those
+    bounds in `order`.  Equal labels are kept as one object, since a bound
+    ladder repeats them many times.
     """
     arenas = Arenas(m, mode)
     labels: dict[Formula, frozenset[str]] = {}
     credits: dict = {}
+    caps: dict = {}
+    for f in order:
+        if isinstance(f, CoalitionAlways) and not is_all_inf(f.bound):
+            key = _credit_key(f)
+            caps[key] = tuple(map(max, caps.get(key, f.bound), f.bound))
     same: dict = {}
     for f in order:
         if not is_modal(f):
             x = atl_label(m, f, labels, mode)
         elif isinstance(f, CoalitionNext) or is_all_inf(f.bound):
             x = arenas(f.coalition).label(f, labels)
-        elif isinstance(f, CoalitionUntil):
-            key = (f.coalition, f.hold, f.goal,
-                   tuple(b is INF for b in f.bound))
+        else:
+            key = _credit_key(f)
             c = credits.get(key)
             if c is None:
                 c = credits[key] = _Credits(arenas(f.coalition), f, labels,
-                                            stats, f.bound)
-            x = frozenset(s for s in m.states if c.holds(s, f.bound))
-        else:
-            x = always(arenas(f.coalition), f, labels, stats)
+                                            stats, caps.get(key, f.bound))
+            if c.minimal is None:  # an always whose moves produce
+                search = _Search(m, f, labels, mode, stats,
+                                 arena=arenas(f.coalition))
+                x = frozenset(s for s in m.states
+                              if search.box(node0(s, f.bound))[0])
+            else:
+                x = frozenset(s for s in m.states if c.holds(s, f.bound))
         labels[f] = same.setdefault(x, x)
     return labels
 

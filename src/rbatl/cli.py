@@ -218,7 +218,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--state", help="state whose verdict drives the exit code")
     check.add_argument("--semantics", default="rbatl",
                        choices=["rbatl", "nt", "ral-finite"])
-    check.add_argument("--engine", default="tree", choices=["tree", "symbolic"])
+    check.add_argument("--engine", default="tree", choices=["tree", "symbolic"],
+                       help="symbolic: consumption-only models under rbatl; "
+                       "the same labels, plus the bound ladder's variants")
     check.add_argument("--witness", metavar="OUT",
                        help="write a strategy certificate for the query")
     check.add_argument("--oracle", metavar="depth=N",

@@ -148,11 +148,6 @@ def vec_sort_key(v: Vec) -> tuple:
     return tuple(_component_key_inf_last(x) for x in v)
 
 
-def proj_inf(bound: Vec) -> Vec:
-    """Zero vector lifted to INF exactly where `bound` is INF."""
-    return tuple(INF if x is INF else 0 for x in bound)
-
-
 def split(bound: Vec) -> list[tuple[Vec, Vec]]:
     """All (d, d') with d + d' = bound, ordered by increasing d'.
 

@@ -19,7 +19,7 @@ from rbatl import (
 from rbatl.atl import Arena, consumption_joint, move, moves
 from rbatl.formula import sub_ordered
 from rbatl.model import JointAction
-from rbatl.vectors import all_inf, proj_inf
+from rbatl.vectors import all_inf
 
 import modelgen
 
@@ -39,19 +39,21 @@ def loop_pre(m, coalition, rho, bound, mode):
     )
 
 
-def loop_fixpoint(m, coalition, hold, base, bound, mode, *, greatest=False):
-    """The fixpoints by rounds of `loop_pre` until nothing changes."""
-    if greatest:
+def loop_fixpoint(m, coalition, hold, goal, mode):
+    """The fixpoints under the all-INF bound by rounds of `loop_pre` until
+    nothing changes: the least one given a goal, else the greatest."""
+    top = all_inf(m.r)
+    if goal is None:
         rho = hold
         while True:
-            nxt = hold & (base | loop_pre(m, coalition, rho, bound, mode))
+            nxt = hold & loop_pre(m, coalition, rho, top, mode)
             if nxt == rho:
                 return rho
             rho = nxt
-    rho, tau = base, hold & loop_pre(m, coalition, base, bound, mode)
+    rho, tau = goal, hold & loop_pre(m, coalition, goal, top, mode)
     while not tau <= rho:
         rho = rho | tau
-        tau = hold & loop_pre(m, coalition, rho, bound, mode)
+        tau = hold & loop_pre(m, coalition, rho, top, mode)
     return rho
 
 
@@ -184,14 +186,10 @@ def test_arena_fixpoint_matches_the_loop():
             arena = Arena(m, A, mode)
             for _ in range(4):
                 hold = random_states(rng, m, 0.7)
-                base = random_states(rng, m, 0.3)
-                bound = modelgen.random_bound(rng, m, inf_prob=0.3)
-                for b in (bound, proj_inf(bound), all_inf(m.r)):
-                    for greatest in (False, True):
-                        want = loop_fixpoint(m, A, hold, base, b, mode,
-                                             greatest=greatest)
-                        got = arena.fixpoint(hold, base, b, greatest=greatest)
-                        assert got == want
+                goal = random_states(rng, m, 0.3)
+                for g in (goal, None):
+                    want = loop_fixpoint(m, A, hold, g, mode)
+                    assert arena.fixpoint(hold, g) == want
 
 
 def test_arena_fixpoint_keeps_a_move_without_outcomes():
@@ -200,14 +198,12 @@ def test_arena_fixpoint_keeps_a_move_without_outcomes():
     m = Model(agents=["a"], resources=["e"], states=["s", "t"], labels={},
               actions={"s": {"a": {"dead": (0,)}}, "t": {"a": {"go": (0,)}}},
               transitions={"t": {("go",): "s"}}, total=False)
-    hold, top = frozenset(m.states), all_inf(1)
+    hold = frozenset(m.states)
     for mode, want in ((Semantics.RBATL, hold), (Semantics.NT, frozenset())):
-        for greatest in (False, True):
-            got = Arena(m, ["a"], mode).fixpoint(hold, frozenset(), top,
-                                                 greatest=greatest)
+        for goal in (frozenset(), None):
+            got = Arena(m, ["a"], mode).fixpoint(hold, goal)
             assert got == want
-            assert got == loop_fixpoint(m, ["a"], hold, frozenset(), top,
-                                        mode, greatest=greatest)
+            assert got == loop_fixpoint(m, ["a"], hold, goal, mode)
 
 
 def count_rows(monkeypatch):

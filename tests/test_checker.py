@@ -277,3 +277,71 @@ def test_stats_are_populated(fig1):
     model_check(fig1, f, stats=stats)
     assert stats.nodes > 0
     assert stats.max_depth >= 3
+
+
+def _consumption_always_cases():
+    """Bounded always over consumption-only models, r = 1-3, total,
+    non-total and with dropped transitions, 20% inf components, for each
+    of the four coalitions of two agents, the empty one included."""
+    rng = random.Random(31)
+    coalitions = ((), ("a0",), ("a1",), ("a0", "a1"))
+    for i in range(80):
+        m = modelgen.random_consumption_model(rng, r=1 + i % 3,
+                                              total=i % 2 == 0)
+        if i % 3 == 0:
+            m = modelgen.drop_transitions(rng, m)
+        for A in coalitions:
+            child = modelgen.random_formula(rng, m, modal_depth=1,
+                                            inf_prob=0.2)
+            bound = modelgen.random_bound(rng, m, inf_prob=0.2)
+            if is_all_inf(bound):
+                bound = (0,) + bound[1:]
+            yield m, CoalitionAlways(A, bound, child)
+
+
+def test_always_credits_match_tree_search():
+    # the and-or tree search is the reference for every bounded always
+    # label of a consumption-only model, which credits decide
+    checked = 0
+    for m, f in _consumption_always_cases():
+        for mode in Semantics:
+            labels = model_check(m, f, mode)
+            for g in sub_ordered(f):
+                if not isinstance(g, CoalitionAlways) or is_all_inf(g.bound):
+                    continue
+                want = frozenset(
+                    s for s in m.states
+                    if box_strategy(m, node0(s, g.bound), g, labels, mode))
+                assert labels[g] == want, (format_formula(g), mode)
+                checked += 1
+    assert checked >= 1000
+
+
+def test_always_with_production_needs_credit_above_the_bound():
+    # s produces 10 on its way to t, where pay spends 6 to reach the free
+    # loop u; idle leads out of h.  A cap at the bound 0 would lose s.
+    m = Model(
+        agents=["a"], resources=["e"], states=["s", "t", "u", "x"],
+        labels={"h": ["s", "t", "u"]},
+        actions={"s": {"a": {"idle": (0,), "prod": (-10,)}},
+                 "t": {"a": {"idle": (0,), "pay": (6,)}},
+                 "u": {"a": {"idle": (0,)}}, "x": {"a": {"idle": (0,)}}},
+        transitions={"s": {("idle",): "x", ("prod",): "t"},
+                     "t": {("idle",): "x", ("pay",): "u"},
+                     "u": {("idle",): "u"}, "x": {("idle",): "x"}},
+        total=True)
+    f = parse_formula("<{a}: 0> G h")
+    for mode in Semantics:
+        assert model_check(m, f, mode)[f] == frozenset({"s", "u"}), mode
+
+
+def test_empty_coalition_always_spends_nothing():
+    # the tree search walked every simple path of this 20-state game,
+    # about 2.9M nodes; the empty coalition spends nothing, so the bound
+    # does not matter and credits recompute each state once
+    m = modelgen.random_model(random.Random(6), max_states=20)
+    f = parse_formula("<{}: 1,3> G (q | q | !q)")
+    stats = SearchStats()
+    labels = model_check(m, f, stats=stats)
+    assert labels[f] == labels[with_bound(f, all_inf(m.r))]
+    assert stats.nodes <= 100

@@ -16,7 +16,7 @@ from rbatl.formula import sub_ordered, with_bound
 from rbatl.symbolic import is_consumption_only
 
 import modelgen
-from ladder import ladder_until
+from ladder import ladder_always, ladder_until
 
 
 def test_refuses_production_models(fig1):
@@ -129,30 +129,37 @@ def _agreement_cases():
 
 
 def _agree_with_ladder(m, f, mode, sym_labels):
-    """Every bounded until of the ladder against the reference, which
-    shares no code with the credit engine; the number compared."""
-    ladder = ladder_until(m, f, sym_labels, mode)
-    for g, want in ladder.items():
-        assert sym_labels[g] == want, (mode, g, sorted(sym_labels[g]),
-                                       sorted(want))
-    return len(ladder)
+    """Every bounded until and always of the ladder against the split
+    ladder's reference, which shares no code with the credit engine; the
+    numbers of untils and of always compared."""
+    counts = []
+    for reference in (ladder_until, ladder_always):
+        ladder = reference(m, f, sym_labels, mode)
+        for g, want in ladder.items():
+            assert sym_labels[g] == want, (mode, g, sorted(sym_labels[g]),
+                                           sorted(want))
+        counts.append(len(ladder))
+    return counts
 
 
 def test_engine_agreement_random():
-    untils = 0
+    untils = always = 0
     for m, f, mode in _agreement_cases():
         tree_labels = model_check(m, f, mode)
         sym_labels = rb_atl_label(m, f, mode)
         for g in sub_ordered(f):
             assert tree_labels[g] == sym_labels[g], (
                 mode, g, sorted(tree_labels[g]), sorted(sym_labels[g]))
-        untils += _agree_with_ladder(m, f, mode, sym_labels)
+        u, a = _agree_with_ladder(m, f, mode, sym_labels)
+        untils += u
+        always += a
     assert untils > 500
+    assert always > 700
 
 
 def test_engine_agreement_with_inf_components():
     rng = random.Random(42)
-    untils = 0
+    untils = always = 0
     for _ in range(25):
         m = modelgen.random_consumption_model(rng)
         f = modelgen.random_formula(rng, m, inf_prob=0.3)
@@ -160,8 +167,11 @@ def test_engine_agreement_with_inf_components():
         sym_labels = rb_atl_label(m, f)
         for g in sub_ordered(f):
             assert tree_labels[g] == sym_labels[g]
-        untils += _agree_with_ladder(m, f, Semantics.RBATL, sym_labels)
+        u, a = _agree_with_ladder(m, f, Semantics.RBATL, sym_labels)
+        untils += u
+        always += a
     assert untils > 20
+    assert always > 10
 
 
 def test_label_monotone_across_ladder(chain):

@@ -6,7 +6,6 @@ from rbatl import INF, VectorError, bound_minus_cost, vec_leq
 from rbatl.vectors import (
     is_bound_vec,
     is_cost_vec,
-    proj_inf,
     split,
     vec_add,
     vec_geq,
@@ -109,6 +108,5 @@ def vec_add_with_inf(x, y):
 
 def test_misc_helpers():
     assert vec_geq((2,), (1,))
-    assert proj_inf((0, INF, 3)) == (0, INF, 0)
     assert is_bound_vec((0, INF)) and not is_bound_vec((-1,))
     assert is_cost_vec((-1, 4)) and not is_cost_vec((INF,))
