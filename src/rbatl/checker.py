@@ -4,18 +4,20 @@ always search.
 Bounded until and always are decided by minimal credits.  The
 availabilities from which A wins are upward-closed, so each state's are
 the upward closure of a finite antichain of minimal credits (Dickson's
-lemma), taken over the finite components of b.  For one move and one
-credit per outcome, a state needs max(0, step budget, outcome credit +
-cost).  An until adds candidates from credit 0 on its goal states until
-none is undominated (a least fixpoint).  Every inserted credit keeps its
-move, so the earliest-inserted credit below an availability gives a
-finite strategy: each outcome then has an earlier credit below what is
-left.  An always starts from credit 0 on every state of its unbounded
-label and recomputes antichains until none changes (a greatest fixpoint,
-as in the consumption games of Brázdil, Chatterjee, Kučera and Novotný,
-CAV 2012).  Where no move it reads produces on a finite component,
-availability never grows, so dropping every credit above the largest
-bound asked for is exact.
+lemma), taken over the finite components of b.  One state worklist
+computes both.  It recomputes a state's antichain from its moves: a move
+joins its outcomes' antichains into their minimal componentwise maxima
+(the antichain join of De Wulf, Doyen, Henzinger and Raskin, CAV 2006),
+and each joined credit x asks for max(0, step budget, x + cost).  An
+until starts from credit 0 on its goal states (a least fixpoint).  Each
+new credit keeps its move and comes from credits inserted before it, so
+the earliest-inserted credit below an availability gives a finite
+strategy: each outcome then has an earlier credit below what is left.
+An always starts from credit 0 on every state of its unbounded label (a
+greatest fixpoint, as in the consumption games of Brázdil, Chatterjee,
+Kučera and Novotný, CAV 2012).  Where no move it reads produces on a
+finite component, availability never grows, so dropping every credit
+above the largest bound asked for is exact.
 
 Other bounded always, and always certificates, come from depth-first
 and-or search whose nodes carry the remaining availability.  Its check
@@ -28,7 +30,6 @@ consumption-only bound ladder of `rbatl.symbolic`.
 from __future__ import annotations
 
 import bisect
-import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -61,11 +62,11 @@ from .witness import (
 class SearchStats:
     """Instrumentation for the bounded modalities (per model_check call).
 
-    An until adds its inserted credits to `nodes` and the height of its
-    tallest strategy to `max_depth`.  An always on credits adds one to
-    `nodes` per recomputed antichain, and the always search its search
-    nodes and their depth.  `pumps` and `cache_hits` belong to the pumping
-    search the credits replaced and stay 0.
+    `nodes` counts the credits inserted, for until and always, and the
+    nodes of the always search; `max_depth` is the height of the tallest
+    until strategy or the depth of the deepest always search node.
+    `pumps` and `cache_hits` belong to the pumping search the credits
+    replaced and stay 0.
     """
 
     nodes: int = 0
@@ -86,9 +87,38 @@ def node0(state: str, bound: Vec) -> SearchNode:
 
 
 def _leq(x, y) -> bool:
-    """`vec_leq` without its length check, for the credit loops, whose
+    """`vec_leq` without its length check, for the credit loop, whose
     vectors share one projection."""
     return all(map(operator.le, x, y))
+
+
+def _join(a: dict, b: dict) -> dict:
+    """The minimal componentwise maxima of a credit of `a` and one of `b`,
+    each with the larger of their heights: antichains map credits to the
+    heights of their strategies."""
+    if len(a) == 1 == len(b):
+        (x, h), (y, k) = *a.items(), *b.items()
+        return {tuple(map(max, x, y)): k if k > h else h}
+    out = {}
+    for x, h in a.items():
+        for y, k in b.items():
+            z, top = tuple(map(max, x, y)), max(h, k)
+            if z in out:
+                out[z] = max(out[z], top)
+            elif not any(_leq(c, z) for c in out):
+                for c in [c for c in out if _leq(z, c)]:
+                    del out[c]
+                out[z] = top
+    return out
+
+
+def _guard(arena: Arena, f, labels):
+    """The label of f's all-INF variant, computed when `labels` lacks it:
+    a bound ladder labels it after its variants, a direct caller not at all."""
+    guard = labels.get(with_bound(f, all_inf(arena.m.r)))
+    if guard is None:
+        guard = arena.fixpoint(*(labels[g] for g in children(f)))
+    return guard
 
 
 class _Credits:
@@ -105,126 +135,88 @@ class _Credits:
     def __init__(self, arena: Arena, f, labels, stats, avail: Vec,
                  start: str | None = None):
         self.agents = arena.agents
-        self.fin = tuple(i for i, x in enumerate(avail) if x is not INF)
-        guard = labels.get(with_bound(f, all_inf(arena.m.r)))
-        if guard is None:  # a bound ladder labels it after its variants
-            guard = arena.fixpoint(*(labels[g] for g in children(f)))
+        fin = self.fin = tuple(i for i, x in enumerate(avail) if x is not INF)
+        guard = _guard(arena, f, labels)
         if isinstance(f, CoalitionAlways):
-            self._always(arena, guard, avail, stats)
-            return
-        self.goal = goal = labels[f.goal]
-        hold = guard - goal
-        m = arena.m
-        if start is None:
-            region = m.states
-        else:  # in model order: certificates follow insertion order
-            seen = _reachable(arena, start, hold)
-            region = [s for s in m.states if s in seen]
-        # per state: the credits in insertion order with their moves, the
-        # componentwise minimum of the credits so far, and the credits no
-        # later one lies below; per (state, credit): its strategy's height
-        self.entries: dict[str, list] = {}
-        self.lows: dict[str, list] = {}
-        self.minimal: dict[str, list] = {}
-        heights = {}
-        work = deque()
-
-        def insert(s, credit, mv, height):
-            known = self.minimal.setdefault(s, [])
-            for c in known:
-                if _leq(c, credit):
-                    return
-            known[:] = [c for c in known if not _leq(credit, c)]
-            known.append(credit)
-            lows = self.lows.setdefault(s, [])
-            lows.append(tuple(map(min, lows[-1], credit)) if lows else credit)
-            self.entries.setdefault(s, []).append((credit, mv))
-            heights[s, credit] = height
-            stats.nodes += 1
-            stats.max_depth = max(stats.max_depth, height)
-            work.append((s, credit))
-
-        preds = {}  # outcome -> (owner, move, credit floor, projected cost)
-        for s in region:
-            if s in goal:
-                insert(s, (0,) * len(self.fin), None, 1)
+            cap, seeds, solved = tuple(avail[i] for i in fin), guard, guard
+        else:
+            cap, seeds = None, labels[f.goal]
+            self.goal, solved = seeds, guard - seeds
+            if start is not None:
+                seen = _reachable(arena, start, solved)
+                seeds, solved = seeds & seen, solved & seen
+        # per solved state, in model order as certificates follow insertion
+        # order: its moves into the guard, with their credit floor and cost
+        # on the finite components
+        steps, preds, ready = {}, {}, []
+        for s in arena.m.states:
+            if s not in solved:
                 continue
-            if s not in hold:
-                continue
-            for mv, floor, cost in self._steps(arena, s):
-                if not mv[3]:
-                    insert(s, floor, mv, 1)
-                for o in mv[3]:
-                    preds.setdefault(o, []).append((s, mv, floor, cost))
-        while work:
-            t, credit = work.popleft()
-            if credit not in self.minimal[t]:
-                continue  # a later credit below it does its work
-            for s, mv, floor, cost in preds.get(t, ()):
-                choices = []
-                for o in mv[3]:
-                    got = (credit,) if o == t else self.minimal.get(o)
-                    if not got:
-                        break
-                    choices.append(got)
-                else:
-                    for combo in itertools.product(*choices):
-                        cand = tuple(max(fl, c + max(xs)) for fl, c, xs
-                                     in zip(floor, cost, zip(*combo)))
-                        height = 1 + max(heights[o, c]
-                                         for o, c in zip(mv[3], combo))
-                        insert(s, cand, mv, height)
-
-    def _steps(self, arena: Arena, s: str):
-        """(move, credit floor, cost) per move of s, the floor max(0, step
-        budget) and the cost taken on the finite components."""
-        fin = self.fin
-        for mv in arena.row(s):
-            yield (mv, tuple(max(0, mv[2][i]) for i in fin),
-                   tuple(mv[1][i] for i in fin))
-
-    def _always(self, arena: Arena, guard, cap: Vec, stats) -> None:
-        """Credit 0 on every guard state, then a state worklist: a state's
-        antichain is recomputed from its moves that stay in the guard, and
-        a change requeues its predecessors.  Credits only rise, so the
-        antichains shrink to the greatest fixpoint."""
-        cap = tuple(cap[i] for i in self.fin)
-        states = [s for s in arena.m.states if s in guard]
-        steps, preds = {}, {}
-        for s in states:
             mine = steps[s] = []
-            for mv, floor, cost in self._steps(arena, s):
+            for mv in arena.row(s):
                 if not guard.issuperset(mv[3]):
                     continue
-                if any(c < 0 for c in cost):
+                cost = tuple(mv[1][i] for i in fin)
+                if cap is not None and any(c < 0 for c in cost):
                     self.minimal = None
                     return
-                mine.append((floor, cost, mv[3]))
+                mine.append((mv, tuple(max(0, mv[2][i]) for i in fin), cost))
                 for o in mv[3]:
                     preds.setdefault(o, {})[s] = None
-        minimal = self.minimal = dict.fromkeys(states, ((0,) * len(cap),))
-        work = deque(states)
-        queued = set(states)
+            if any(seeds.issuperset(mv[3]) for mv, _, _ in mine):
+                ready.append(s)
+        # per state: its antichain (credit -> height of its strategy), its
+        # credits in insertion order with their moves, and their prefix minima
+        zero = (0,) * len(fin)
+        minimal = self.minimal = dict.fromkeys(seeds, {zero: 1})
+        self.entries = {s: [(zero, None)] for s in seeds}
+        self.lows = {s: [zero] for s in seeds}
+        stats.nodes += len(seeds)
+        if seeds and cap is None:
+            stats.max_depth = max(stats.max_depth, 1)
+        bare = {zero: 0}  # what a move without outcomes joins to
+        work = deque(ready)
+        queued = set(ready)
         while work:
             s = work.popleft()
             queued.discard(s)
-            stats.nodes += 1
-            new = []
-            for floor, cost, outs in steps[s]:
-                for combo in itertools.product(*(minimal[o] for o in outs)):
-                    cand = tuple(max(fl, c + max(xs)) for fl, c, xs
-                                 in zip(floor, cost, zip(*combo))
-                                 ) if combo else floor
-                    if not _leq(cand, cap) or any(_leq(c, cand) for c in new):
-                        continue
-                    new = [c for c in new if not _leq(cand, c)]
-                    new.append(cand)
-            if set(new) != set(minimal[s]):
-                minimal[s] = tuple(new)
-                for p in preds.get(s, ()):
-                    if p not in queued:
-                        queued.add(p)
-                        work.append(p)
+            new, made = {}, []
+            for mv, floor, cost in steps[s]:
+                joined = bare
+                for o in mv[3]:
+                    got = minimal.get(o)
+                    if not got:
+                        break
+                    joined = got if joined is bare else _join(joined, got)
+                else:
+                    for x, h in joined.items():
+                        cand = tuple(map(max, floor,
+                                         map(operator.add, cost, x)))
+                        if (cap is not None and not _leq(cand, cap)
+                                or any(_leq(c, cand) for c in new)):
+                            continue
+                        for c in [c for c in new if _leq(cand, c)]:
+                            del new[c]
+                        new[cand] = h + 1
+                        made.append((cand, mv))
+            old = minimal.get(s, {})
+            if new.keys() == old.keys():
+                continue
+            minimal[s] = new
+            entries = self.entries.setdefault(s, [])
+            lows = self.lows.setdefault(s, [])
+            for cand, mv in made:
+                if cand in new and cand not in old:
+                    entries.append((cand, mv))
+                    lows.append(tuple(map(min, lows[-1], cand)) if lows
+                                else cand)
+                    stats.nodes += 1
+                    if cap is None:
+                        stats.max_depth = max(stats.max_depth, new[cand])
+            for p in preds.get(s, ()):
+                if p not in queued:
+                    queued.add(p)
+                    work.append(p)
 
     def holds(self, state: str, avail: Vec) -> bool:
         want = tuple(avail[i] for i in self.fin)
@@ -286,7 +278,7 @@ class _Search:
         self.arena = arena or Arena(m, f.coalition, mode)
         self.stats = stats
         self.collect = collect
-        self.guard = labels[with_bound(f, all_inf(m.r))]
+        self.guard = _guard(self.arena, f, labels)
 
     def box(self, node: SearchNode):
         """Returns (holds, witness node or None)."""

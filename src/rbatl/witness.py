@@ -78,6 +78,12 @@ def _scalar_from_json(x):
     return INF if x == "inf" else _int_from_json(x, "availability component")
 
 
+def _names(x, what):
+    if not isinstance(x, list) or not all(isinstance(n, str) for n in x):
+        raise WitnessError(f"witness {what} must be a list of names")
+    return tuple(x)
+
+
 def _vec_to_json(v):
     return [_scalar_to_json(x) for x in v]
 
@@ -127,13 +133,14 @@ def _node_fields_from_dict(data) -> WitnessNode:
                 "pumped"):
         if key not in data:
             raise WitnessError(f"witness node missing {key!r}")
+    if not isinstance(data["state"], str):
+        raise WitnessError(f"bad witness state {data['state']!r}")
     action = data["action"]
     if action is not None:
-        if (not isinstance(action, dict)
-                or not isinstance(action.get("agents"), list)
-                or not isinstance(action.get("actions"), list)):
+        if not isinstance(action, dict):
             raise WitnessError("witness action must carry agents and actions")
-        action = JointAction(tuple(action["agents"]), tuple(action["actions"]))
+        action = JointAction(_names(action.get("agents"), "action agents"),
+                             _names(action.get("actions"), "action actions"))
     if not isinstance(data["children"], dict):
         raise WitnessError("witness children must be an object")
     pumped_in = data["pumped"]
@@ -195,7 +202,7 @@ def witness_from_dict(data) -> WitnessTree:
         raise WitnessError(f"unknown witness kind {kind!r}")
     return WitnessTree(
         kind=kind,
-        coalition=tuple(data.get("coalition", ())),
+        coalition=_names(data.get("coalition", []), "coalition"),
         bound=_vec_from_json(data.get("bound", [])),
         mode=Semantics.from_name(data.get("mode", "")),
         formula=data.get("formula", ""),
@@ -281,7 +288,7 @@ def dump_witness(tree: WitnessTree) -> str:
 def load_witness(path) -> WitnessTree:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise WitnessError(f"witness file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         limit = sys.getrecursionlimit()

@@ -179,3 +179,22 @@ def random_net(rng, *, max_places=4, max_transitions=4, max_weight=2,
     net = PetriNet(places=places, transitions=transitions, arcs_in=arcs_in,
                    arcs_out=arcs_out, marking=marking)
     return net, target
+
+
+def fan_out_game(branches, moves):
+    """At s, a's one move go leads to t1 .. t(branches), as b chooses.
+    Each ti has `moves` moves to the free p-loop g, the j-th costing
+    (j, moves - 1 - j), so every ti's antichain has `moves` credits."""
+    ts = [f"t{i}" for i in range(1, branches + 1)]
+    costs = {f"m{j}": (j, moves - 1 - j) for j in range(moves)}
+    actions = {"s": {"a": {"go": (0, 0)},
+                     "b": {t: (0, 0) for t in ts}},
+               "g": {"a": {"idle": (0, 0)}, "b": {"idle": (0, 0)}}}
+    transitions = {"s": {("go", t): t for t in ts},
+                   "g": {("idle", "idle"): "g"}}
+    for t in ts:
+        actions[t] = {"a": costs, "b": {"idle": (0, 0)}}
+        transitions[t] = {(m, "idle"): "g" for m in costs}
+    return Model(agents=["a", "b"], resources=["r1", "r2"],
+                 states=["s", *ts, "g"], labels={"p": ["g"]},
+                 actions=actions, transitions=transitions, total=False)

@@ -17,6 +17,7 @@ from rbatl import (
     validate_witness,
     with_bound,
 )
+from rbatl import checker
 from rbatl.checker import SearchStats
 from rbatl.formula import (
     CoalitionAlways,
@@ -131,6 +132,43 @@ def test_direct_strategy_entry_points(fig1):
     g = parse_formula("<{a1}: 0,0> G true")
     glabels = model_check(fig1, g)
     assert box_strategy(fig1, node0("s", (0, 0)), g, glabels) is True
+
+
+def test_strategies_compute_a_missing_guard(fig1):
+    # labels that hold only the children, not the all-INF variants: both
+    # entry points compute the guard and agree with model_check
+    labels = {Prop("p"): frozenset({"s_prime"}), TRUE: fig1.state_set()}
+    for text in ("<{a1,a2}: 0,1> (true U p)", "<{a1,a2}: 0,1> G true",
+                 "<{a1}: 0,0> G true"):
+        f = parse_formula(text)
+        strategy = (until_strategy if isinstance(f, CoalitionUntil)
+                    else box_strategy)
+        want = model_check(fig1, f)[f]
+        for s in fig1.states:
+            got = strategy(fig1, node0(s, f.bound), f, labels)
+            assert got == (s in want), (text, s)
+
+
+def test_fan_out_game_joins_outcomes(monkeypatch):
+    # b sends s to one of 6 branches, each with 4 moves costing (j, 3 - j):
+    # a product over the outcomes' antichains builds 4**6 candidates per
+    # move, where joining them one outcome at a time keeps 4.  The product
+    # made 29,422 + 9,094 comparisons here.
+    m = modelgen.fan_out_game(6, 4)
+    calls = 0
+    leq = checker._leq
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return leq(x, y)
+
+    monkeypatch.setattr(checker, "_leq", counting)
+    for text in ("<{a}: 4,4> (true U p)", "<{a}: 4,4> G (p | !p)"):
+        assert "s" in sat(m, text)[2]
+    assert calls <= 2000
+    for text in ("<{a}: 1,1> (true U p)", "<{a}: 1,1> G (p | !p)"):
+        assert "s" not in sat(m, text)[2]
 
 
 def test_inf_bound_search_equals_fixpoint_labelling():

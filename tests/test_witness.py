@@ -13,6 +13,7 @@ from rbatl import (
     concretize_until_witness,
     dump_witness,
     find_witness,
+    load_witness,
     model_check,
     parse_formula,
     validate_witness,
@@ -274,6 +275,28 @@ def test_loader_rejects_non_integer_indices(fig1):
         below["pumped"] = {"0": bad}
         with pytest.raises(WitnessError):
             witness_from_dict(until)
+
+
+def test_loader_rejects_names_that_are_not_strings(fig1):
+    _, _, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
+    mutants = [
+        lambda d: d.update(coalition=5),
+        lambda d: d.update(coalition=[["a1"], "a2"]),
+        lambda d: d["root"].update(state=["s_I"]),
+        lambda d: d["root"]["action"].update(actions=[["alpha"], "idle"]),
+    ]
+    for mutate in mutants:
+        data = witness_to_dict(tree)
+        mutate(data)
+        with pytest.raises(WitnessError):
+            witness_from_dict(data)
+
+
+def test_loader_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b'\xff\xfe{"format_version": 1}')
+    with pytest.raises(WitnessError):
+        load_witness(path)
 
 
 def test_corrupted_certificates_rejected(fig1):
