@@ -37,7 +37,6 @@ from .formula import (
     Or,
     Prop,
     TrueConst,
-    ast_size,
     format_formula,
     sub_ordered,
     sub_plus,

@@ -114,7 +114,8 @@ def _join(a: dict, b: dict) -> dict:
 
 def _guard(arena: Arena, f, labels):
     """The label of f's all-INF variant, computed when `labels` lacks it:
-    a bound ladder labels it after its variants, a direct caller not at all."""
+    `label_all` labels the variant first, so only direct callers of the
+    strategy functions need the fixpoint."""
     guard = labels.get(with_bound(f, all_inf(arena.m.r)))
     if guard is None:
         guard = arena.fixpoint(*(labels[g] for g in children(f)))
@@ -349,7 +350,8 @@ def box_strategy(m: Model, node: SearchNode, f: CoalitionAlways, labels,
 def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
                 stats: SearchStats | None = None
                 ) -> dict[Formula, frozenset[str]]:
-    """Label every formula in sub_ordered(f0) with its satisfying states.
+    """Label every formula in sub_ordered(f0) with its satisfying states;
+    the map lists them in that order.
 
     Propositions and connectives are set algebra; all-INF modalities go to
     the classical fixpoints; bounded next is a single predecessor step; a
@@ -371,7 +373,8 @@ def _credit_key(f):
 def label_all(m: Model, order, mode: Semantics, stats
               ) -> dict[Formula, frozenset[str]]:
     """The labelling loop of `model_check` and `rb_atl_label`: label each
-    formula of `order`, every strict subformula first.
+    formula of `order`, every strict subformula and the all-INF variant of
+    a bounded modality first.  The returned map is in `order`.
 
     Untils and always that differ only in their finite bound values share
     one set of minimal credits, and each reads its label off them.  An

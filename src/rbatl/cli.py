@@ -18,13 +18,7 @@ from pathlib import Path
 from .atl import Semantics, eval_propositional
 from .checker import SearchStats, find_witness, model_check
 from .errors import RBATLError
-from .formula import (
-    CoalitionAlways,
-    CoalitionUntil,
-    Formula,
-    format_formula,
-    sub_ordered,
-)
+from .formula import CoalitionAlways, CoalitionUntil, Formula, format_formula
 from .modelio import load_model, save_model
 from .oracle import bounded_search
 from .parser import parse_formula
@@ -35,14 +29,18 @@ from .witness import dump_witness, validate_witness
 
 def _read_formula_arg(arg: str) -> str:
     if arg.startswith("@"):
-        return Path(arg[1:]).read_text().strip()
+        path = Path(arg[1:])
+    else:
+        path = Path(arg)
+        try:
+            if not path.is_file():
+                return arg
+        except OSError:  # e.g. a formula longer than a file name may be
+            return arg
     try:
-        is_file = Path(arg).is_file()
-    except OSError:  # e.g. a formula longer than a file name may be
-        is_file = False
-    if is_file:
-        return Path(arg).read_text().strip()
-    return arg
+        return path.read_text().strip()
+    except UnicodeDecodeError as exc:
+        raise RBATLError(f"formula file is not valid UTF-8: {exc}") from exc
 
 
 def _parse_oracle_depth(text: str) -> int:
@@ -100,10 +98,8 @@ def cmd_check(args) -> int:
         payload["state"] = args.state
         payload["holds"] = holds
     if args.all_labels:
-        payload["labels"] = {
-            format_formula(f): _sorted_states(m, ss)
-            for f, ss in ((g, labels[g]) for g in sub_ordered(f0))
-        }
+        payload["labels"] = {format_formula(f): _sorted_states(m, ss)
+                             for f, ss in labels.items()}
     if oracle_verdict is not None:
         payload["oracle"] = "true" if oracle_verdict is True else "unknown"
     if witness_status is not None:

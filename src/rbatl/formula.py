@@ -1,18 +1,20 @@
-"""Formula AST, printer, and the subformula orderings the checkers walk.
+"""Formula AST, printer, and the subformula orders the checkers walk.
 
 Coalition modalities carry a per-resource bound; the all-INF bound plays the
-role of the plain (unbounded) strategic modality.  `sub_ordered` produces the
-dependency order used by the general checker (each all-INF variant strictly
-before its bounded original); `sub_plus` produces the bound-increasing order
-with split-generated variants used by the consumption-only engine.
+role of the plain (unbounded) strategic modality.  `sub_ordered` lists the
+closure the general checker labels: each subformula after its children, and
+each bounded modality after its all-INF variant.  `sub_plus` adds the
+split-generated bound variants of the consumption-only ladder, in an order
+that also puts no bound after a strictly larger one of the same until or
+always.  Both are one post-order walk, `_closure`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FormulaError
-from .vectors import INF, Vec, all_inf, is_all_inf, is_bound_vec, split, vec_sort_key
+from .vectors import INF, Vec, all_inf, is_all_inf, is_bound_vec, split
 
 
 class Formula:
@@ -134,86 +136,44 @@ def with_bound(f: Formula, bound: Vec) -> Formula:
     raise FormulaError(f"not a coalition modality: {f!r}")
 
 
-def ast_size(f: Formula) -> int:
-    return 1 + sum(ast_size(c) for c in children(f))
-
-
-_KIND_RANK = {
-    TrueConst: 0,
-    FalseConst: 1,
-    Prop: 2,
-    Not: 3,
-    Or: 4,
-    And: 5,
-    CoalitionNext: 6,
-    CoalitionAlways: 7,
-    CoalitionUntil: 8,
-}
-
-
-def _struct_key(f: Formula, bound_comp_key) -> tuple:
-    rank = _KIND_RANK[type(f)]
-    if isinstance(f, Prop):
-        return (rank, f.name)
-    if is_modal(f):
-        return (
-            rank,
-            f.coalition,
-            tuple(bound_comp_key(x) for x in f.bound),
-            tuple(_struct_key(c, bound_comp_key) for c in children(f)),
-        )
-    return (rank,) + tuple(_struct_key(c, bound_comp_key) for c in children(f))
-
-
-def _bound_comp_inf_first(x):
-    return (0, 0) if x is INF else (1, x)
-
-
-def _bound_comp_inf_last(x):
-    return (1, 0) if x is INF else (0, x)
-
-
-def _closure_with_inf_variants(root: Formula) -> set[Formula]:
-    seen: set[Formula] = set()
-
-    def collect(f: Formula):
+def _closure(root: Formula, ladder: bool) -> list[Formula]:
+    """Every distinct subformula of root once, after its children, by an
+    explicit-stack post-order walk.  A bounded modality comes after its
+    all-INF variant and, with `ladder`, an until/always also after its
+    split variants in `split` order."""
+    seen: dict[Formula, None] = {}  # insertion-ordered
+    stack = [(root, False)]
+    while stack:
+        f, ready = stack.pop()
         if f in seen:
-            return
-        seen.add(f)
-        for c in children(f):
-            collect(c)
+            continue
+        if not ready:
+            stack.append((f, True))
+            stack.extend((c, False) for c in reversed(children(f)))
+            continue
         if is_modal(f) and not is_all_inf(f.bound):
-            collect(with_bound(f, all_inf(len(f.bound))))
-
-    collect(root)
-    return seen
+            seen.setdefault(with_bound(f, all_inf(len(f.bound))))
+            if ladder and not isinstance(f, CoalitionNext):
+                for _, d in split(f.bound):
+                    seen.setdefault(with_bound(f, d))
+        seen[f] = None
+    return list(seen)
 
 
 def sub_ordered(root: Formula) -> list[Formula]:
-    """Subformula closure plus all-INF variants, in dependency order.
-
-    Ordered by increasing AST size; among equal sizes the all-INF variant of
-    a modality sorts strictly before any bounded version of the same shape,
-    so its label is available when the bounded search consults it.
-    """
-    seen = _closure_with_inf_variants(root)
-    return sorted(seen, key=lambda f: (ast_size(f), _struct_key(f, _bound_comp_inf_first)))
+    """Subformula closure plus the all-INF variant of each bounded
+    modality, children first and each all-INF variant before every
+    bounded version of it."""
+    return _closure(root, False)
 
 
 def sub_plus(root: Formula) -> list[Formula]:
-    """Closure extended with split-generated bound variants, bounds increasing.
-
-    For every until/always modality with bound b, the variants with bound d'
-    for (d, d') in split(b) are added.  The order is a linear extension of
-    the pointwise order on bounds, so each variant is labelled before any
-    modality whose computation consults it.
-    """
-    seen = set(_closure_with_inf_variants(root))
-    for f in list(seen):
-        if isinstance(f, (CoalitionAlways, CoalitionUntil)):
-            for _, dprime in split(f.bound):
-                seen.add(with_bound(f, dprime))
-    return sorted(seen, key=lambda f: (ast_size(f), _struct_key(f, _bound_comp_inf_last)))
+    """`sub_ordered`'s closure plus the variants under every bound d' of a
+    split (d, d') of each bounded until/always, in the same order; within
+    one credit key (type, coalition, children, INF components) no bound
+    comes after a strictly larger one, so each variant is labelled before
+    any that reads it."""
+    return _closure(root, True)
 
 
 _PREC_OR = 1
@@ -232,44 +192,43 @@ def _prec(f: Formula) -> int:
     return _PREC_ATOM
 
 
-def _fmt_bound(bound: Vec) -> str:
-    return ",".join("inf" if x is INF else str(x) for x in bound)
-
-
-def _fmt_modal_prefix(f) -> str:
-    return "<{%s}: %s>" % (",".join(f.coalition), _fmt_bound(f.bound))
-
-
-def _fmt(f: Formula, min_prec: int) -> str:
+def _pieces(f: Formula) -> list:
+    """f's text as strings and (child, least precedence) pairs."""
     if isinstance(f, TrueConst):
-        s = "true"
-    elif isinstance(f, FalseConst):
-        s = "false"
-    elif isinstance(f, Prop):
-        s = f.name
-    elif isinstance(f, Not):
-        s = "!" + _fmt(f.child, _PREC_UNARY)
-    elif isinstance(f, Or):
-        s = _fmt(f.left, _PREC_OR) + " | " + _fmt(f.right, _PREC_OR + 1)
-    elif isinstance(f, And):
-        s = _fmt(f.left, _PREC_AND) + " & " + _fmt(f.right, _PREC_AND + 1)
-    elif isinstance(f, CoalitionNext):
-        s = _fmt_modal_prefix(f) + " X " + _fmt(f.child, _PREC_UNARY)
-    elif isinstance(f, CoalitionAlways):
-        s = _fmt_modal_prefix(f) + " G " + _fmt(f.child, _PREC_UNARY)
-    elif isinstance(f, CoalitionUntil):
-        s = "%s (%s U %s)" % (
-            _fmt_modal_prefix(f),
-            _fmt(f.hold, 0),
-            _fmt(f.goal, 0),
-        )
-    else:
-        raise FormulaError(f"unknown formula node: {f!r}")
-    if _prec(f) < min_prec:
-        return "(" + s + ")"
-    return s
+        return ["true"]
+    if isinstance(f, FalseConst):
+        return ["false"]
+    if isinstance(f, Prop):
+        return [f.name]
+    if isinstance(f, Not):
+        return ["!", (f.child, _PREC_UNARY)]
+    if isinstance(f, Or):
+        return [(f.left, _PREC_OR), " | ", (f.right, _PREC_OR + 1)]
+    if isinstance(f, And):
+        return [(f.left, _PREC_AND), " & ", (f.right, _PREC_AND + 1)]
+    if not is_modal(f):
+        raise FormulaError(f"unknown formula node: {type(f).__name__}")
+    bound = ",".join("inf" if x is INF else str(x) for x in f.bound)
+    prefix = "<{%s}: %s>" % (",".join(f.coalition), bound)
+    if isinstance(f, CoalitionUntil):
+        return [prefix + " (", (f.hold, 0), " U ", (f.goal, 0), ")"]
+    op = " X " if isinstance(f, CoalitionNext) else " G "
+    return [prefix + op, (f.child, _PREC_UNARY)]
 
 
 def format_formula(f: Formula) -> str:
-    """Concrete syntax for f; parse_formula(format_formula(f)) == f."""
-    return _fmt(f, 0)
+    """Concrete syntax for f; parse_formula(format_formula(f)) == f.
+    An explicit stack of pieces, so any depth prints."""
+    out = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, min_prec = item
+        pieces = _pieces(g)
+        if _prec(g) < min_prec:
+            pieces = ["(", *pieces, ")"]
+        stack.extend(reversed(pieces))
+    return "".join(out)

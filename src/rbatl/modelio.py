@@ -135,11 +135,18 @@ def loads_model(text: str) -> Model:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError("model file nests deeper than the JSON reader's "
+                         "limit") from exc
     return model_from_dict(data)
 
 
 def load_model(path) -> Model:
-    return loads_model(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"model file is not valid UTF-8: {exc}") from exc
+    return loads_model(text)
 
 
 def save_model(m: Model, path):

@@ -232,6 +232,9 @@ def dump_net(net: PetriNet) -> str:
 def load_net(path) -> PetriNet:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise PetriError(f"net file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PetriError("net file nests deeper than the JSON reader's "
+                         "limit") from exc
     return net_from_dict(data)

@@ -2,9 +2,11 @@
 
 `rb_atl_label` labels every variant of the extended subformula ladder
 (`sub_plus`): each bounded until or always under every bound d' of a
-split (d, d') of its bound b.  It runs the labelling loop of
+split (d, d') of its bound b, after its all-INF variant and after every
+smaller bound of the ladder.  It runs the labelling loop of
 `model_check`, so every variant is read off one set of minimal credits
-per (coalition, subformulas, finite components).  Without production,
+per (coalition, subformulas, finite components), and its map lists them
+in that order.  Without production,
 availability never grows, so the credits of a bounded always capped at
 the largest bound of the ladder are exact.  The split ladder's own set
 fixpoints stay in the tests as the reference.

@@ -383,3 +383,11 @@ def test_empty_coalition_always_spends_nothing():
     labels = model_check(m, f, stats=stats)
     assert labels[f] == labels[with_bound(f, all_inf(m.r))]
     assert stats.nodes <= 100
+
+
+def test_labels_come_in_sub_ordered_order():
+    rng = random.Random(7)
+    for _ in range(40):
+        m = modelgen.random_model(rng, max_states=4, r=2)
+        f = modelgen.random_formula(rng, m, inf_prob=0.2)
+        assert list(model_check(m, f)) == sub_ordered(f)

@@ -225,6 +225,51 @@ def test_formula_from_file(fig1_path, tmp_path, capsys):
     assert code == 0
 
 
+UNREADABLE = pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "too-deep"])
+
+
+@UNREADABLE
+def test_check_unreadable_model_exits_two(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, _, err = run(capsys, "check", bad, "p")
+    assert code == 2
+    assert "error: model file" in err and "Traceback" not in err
+
+
+@UNREADABLE
+def test_petri_unreadable_net_exits_two(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, _, err = run(capsys, "petri", bad, "--target", "1")
+    assert code == 2
+    assert "error: net file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "translate"])
+def test_formula_file_not_utf8_exits_two(fig1_path, tmp_path, capsys,
+                                         command):
+    bad = tmp_path / "formula.txt"
+    bad.write_bytes(b"\xff\xfep")
+    argv = [fig1_path] if command == "check" else []
+    code, _, err = run(capsys, command, *argv, f"@{bad}")
+    assert code == 2
+    assert "error: formula file" in err and "Traceback" not in err
+
+
+def test_check_symbolic_all_labels_lists_the_ladder(chain, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(dump_model(chain))
+    code, out, _ = run(capsys, "check", path, "<{a}: 2> (true U p)",
+                       "--engine", "symbolic", "--all-labels", "--json")
+    assert code == 0
+    labels = json.loads(out)["labels"]
+    assert labels["<{a}: 1> (true U p)"] == ["c1", "c2"]
+    assert labels["<{a}: 0> (true U p)"] == ["c2"]
+    assert list(labels)[-1] == "<{a}: 2> (true U p)"
+
+
 def test_model_round_trip_is_byte_identical(fig1, tmp_path):
     text = dump_model(fig1)
     assert dump_model(loads_model(text)) == text

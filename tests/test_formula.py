@@ -17,7 +17,6 @@ from rbatl import (
     Not,
     Or,
     Prop,
-    ast_size,
     format_formula,
     parse_formula,
     sub_ordered,
@@ -172,18 +171,26 @@ def test_sub_plus_inf_bound_adds_nothing():
 
 
 def bound_monotone(order):
-    """Whether each modality in order comes after every variant of it
-    (same type, coalition and children) with a pointwise smaller bound.
+    """Whether each modality in order comes after its all-INF variant, and
+    each until/always after every variant of it with the same credit key
+    (type, coalition, children, INF components) and a pointwise smaller
+    bound.
 
-    Per group, over the grid of the bounds' own component values (INF
-    last), latest[v] is the largest index of a variant whose bound is <= v.
+    Per key, over the grid of the bounds' own component values,
+    latest[v] is the largest index of a variant whose bound is <= v.
     Every strictly smaller bound is <= one of v's one-step-lower grid
     points, so the check costs grid points times components, not pairs.
     """
+    index = {g: i for i, g in enumerate(order)}
     groups = {}
     for i, g in enumerate(order):
-        if is_modal(g):
-            key = (type(g), g.coalition, children(g), len(g.bound))
+        if not is_modal(g):
+            continue
+        if index.get(with_bound(g, all_inf(len(g.bound))), i + 1) > i:
+            return False
+        if not isinstance(g, CoalitionNext):
+            key = (type(g), g.coalition, children(g),
+                   tuple(x is INF for x in g.bound))
             groups.setdefault(key, {})[g.bound] = i
     for at in groups.values():
         r = len(next(iter(at)))
@@ -203,6 +210,11 @@ def bound_monotone(order):
 def test_sub_plus_is_bound_monotone_order(f):
     order = sub_plus(f)
     assert set(sub_ordered(f)) <= set(order)
+    assert len(order) == len(set(order))
+    index = {g: i for i, g in enumerate(order)}
+    for g in order:
+        for c in children(g):
+            assert index[c] < index[g]
     assert bound_monotone(order)
 
 
@@ -213,14 +225,19 @@ def test_bound_monotone_rejects_misordered_variants():
     shuffled = list(order)
     random.Random(0).shuffle(shuffled)
     assert not bound_monotone(shuffled)
-    # one swapped pair: a finite bound and the all-INF bound above it
-    i, j = order.index(f), order.index(with_bound(f, (INF, INF, INF)))
+    # one swapped pair: a finite bound and a finite bound below it
+    i, j = order.index(f), order.index(with_bound(f, (1, 1, INF)))
     swapped = list(order)
     swapped[i], swapped[j] = swapped[j], swapped[i]
     assert not bound_monotone(swapped)
+    # the all-INF variant after a bounded version
+    top = with_bound(f, (INF, INF, INF))
+    late = [g for g in order if g != top] + [top]
+    assert not bound_monotone(late)
 
 
-def test_ast_size():
-    assert ast_size(TRUE) == 1
-    assert ast_size(parse_formula("p | !q")) == 4
-    assert ast_size(parse_formula("<{a}: 1> (p U q)")) == 3
+def test_format_formula_prints_any_depth():
+    f = Prop("p")
+    for _ in range(5000):
+        f = Not(f)
+    assert format_formula(f) == "!" * 5000 + "p"

@@ -12,6 +12,7 @@ from rbatl import (
     rb_atl_label,
     split,
 )
+from rbatl.atl import Arena
 from rbatl.formula import sub_ordered, with_bound
 from rbatl.symbolic import is_consumption_only
 
@@ -61,6 +62,22 @@ def test_ladder_uses_split_variants(chain):
     )}
     for text in texts:
         assert parse_formula(text) in labels
+
+
+def test_ladder_computes_each_guard_once(monkeypatch):
+    # the all-INF variant is labelled before the ladder reads it as a guard
+    calls = []
+    fixpoint = Arena.fixpoint
+
+    def counted(self, *args):
+        calls.append(args)
+        return fixpoint(self, *args)
+
+    monkeypatch.setattr(Arena, "fixpoint", counted)
+    f = parse_formula("<{a}: 3> (true U p)")
+    labels = rb_atl_label(modelgen.zero_cost_chain(6), f)
+    assert with_bound(f, (INF,)) in labels
+    assert len(calls) == 1
 
 
 def _no_affordable_move():
