@@ -1,15 +1,17 @@
 """Model checking for alternating-time logic with resource production and
-consumption: explicit-state fixpoints, minimal credits for bounded until
-and always, budget-aware strategy search for the rest of bounded always,
+consumption: minimal credits for until and always, bounded or not,
+budget-aware strategy search for the rest of bounded always,
 a consumption-only bound ladder, strategy certificates, and a Petri-net
 coverability bridge for differential testing.
 """
 
-from .atl import Semantics, atl_label, consumption_joint, eval_propositional, pre
+from .atl import Semantics, consumption_joint, pre
 from .checker import (
     SearchNode,
     SearchStats,
+    atl_label,
     box_strategy,
+    eval_propositional,
     find_witness,
     model_check,
     node0,

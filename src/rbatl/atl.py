@@ -1,25 +1,23 @@
-"""One-step controllable predecessors and the set fixpoints over them.
+"""One-step controllable predecessors over a compiled game.
 
 `pre(m, A, X, b, mode)` is the set of states where coalition A has a move
-within bound b whose outcomes all land in X.  The all-INF modalities are
-the two fixpoints over it under the all-INF bound, computed by
-`Arena.fixpoint`:
+within bound b whose outcomes all land in X.  Until and always, bounded
+or not, are fixpoints over it.  `rbatl.checker` computes them all as
+minimal credits; under the all-INF bound no component is finite, and the
+credits are the classical set fixpoints:
 
   until  <<A>> (hold U goal):  least     muX. goal | (hold & pre(X))
   always <<A>> G hold:         greatest  nuX. hold & pre(X)
-
-and they are the guards of the bounded ones, whose credits live in
-`rbatl.checker`.
 
 The three semantics modes differ only in `_move`, the one place where their
 rules live; every search, fixpoint and certificate check takes its moves
 from it, through `move` or an `Arena` row, except the oracle, which keeps
 its own loops as the reference.  A labelling call compiles the moves once
-per coalition into an `Arena`, which its predecessor steps, fixpoints,
-until credits and always search share.  An arena row keeps each move as
-four plain values, (action names, net cost, step budget, outcome tuple);
-a `JointAction` is built from them only where a certificate records the
-move, in `rbatl.checker`.
+per coalition into an `Arena`, which its predecessor steps, credits and
+always search share.  An arena row keeps each move as four plain values,
+(action names, net cost, step budget, outcome tuple); a `JointAction` is
+built from them only where a certificate records the move, in
+`rbatl.checker`.
 """
 
 from __future__ import annotations
@@ -29,21 +27,7 @@ import itertools
 import operator
 
 from .errors import EngineError, FormulaError, ModelError, VectorError
-from .formula import (
-    And,
-    CoalitionNext,
-    CoalitionUntil,
-    FalseConst,
-    Formula,
-    Not,
-    Or,
-    Prop,
-    TrueConst,
-    children,
-    format_formula,
-    is_modal,
-    sub_ordered,
-)
+from .formula import Formula, Prop, children, format_formula, is_modal
 from .model import JointAction, Model, validate_model
 from .vectors import Vec, is_all_inf, vec_leq
 
@@ -145,10 +129,9 @@ class Arena:
     where a certificate records the move.  `outcomes` is a tuple in model
     state order.  Filtering a row by step budget gives the moves under
     any availability, since whether a move counts does not depend on it.
-    Rows are compiled on a state's first use, and the predecessor index
-    on the first fixpoint.  An arena serves the queries of one labelling
-    call; it is not kept on the model, whose lifetime would keep every
-    row alive.
+    Rows are compiled on a state's first use.  An arena serves the queries
+    of one labelling call; it is not kept on the model, whose lifetime
+    would keep every row alive.
     """
 
     def __init__(self, m: Model, coalition, mode: Semantics = Semantics.RBATL):
@@ -165,7 +148,6 @@ class Arena:
         else:
             self._part = lambda combo: ()
         self._rows: dict = {}
-        self._index = None
 
     def row(self, state: str) -> tuple:
         row = self._rows.get(state)
@@ -228,109 +210,6 @@ class Arena:
                     break
         return frozenset(result)
 
-    def fixpoint(self, hold, goal=None) -> frozenset[str]:
-        """muX. goal | (hold & pre(X)) given a goal, else
-        nuX. hold & pre(X), with pre under the all-INF bound.
-
-        Both forms are counter-based worklists, linear in the size of the
-        arena: the least form counts, per move, the outcomes still outside
-        X; the greatest form counts, per state, the moves still inside X.
-        """
-        if goal is None:
-            return self._greatest(frozenset(hold))
-        return self._least(frozenset(hold), frozenset(goal))
-
-    def label(self, f: Formula, lower: dict) -> frozenset[str]:
-        """Label a modality of this arena's coalition given labels for its
-        strict subformulas: next under any bound, until and always under
-        the all-INF bound."""
-        if isinstance(f, CoalitionNext):
-            return self.pre(lower[f.child], f.bound)
-        if not is_all_inf(f.bound):
-            raise EngineError("bounded until/always go to the bounded checker")
-        if isinstance(f, CoalitionUntil):
-            return self.fixpoint(lower[f.hold], lower[f.goal])
-        return self.fixpoint(lower[f.child])
-
-    def _compiled(self):
-        """(owner state, outcomes) per move id, and the ids of the moves
-        with each state among their outcomes."""
-        if self._index is None:
-            owners, preds = [], {}
-            for s in self.m.states:
-                for _, _, _, outs in self.row(s):
-                    mid = len(owners)
-                    owners.append((s, outs))
-                    for o in outs:
-                        preds.setdefault(o, []).append(mid)
-            self._index = owners, preds
-        return self._index
-
-    def _least(self, hold, start):
-        owners, preds = self._compiled()
-        inside = set(start)
-        work = []
-        outside = {}  # move id -> outcomes not yet in X, counted against start
-        for mid, (s, outs) in enumerate(owners):
-            if s in start or s not in hold:
-                continue
-            n = 0
-            for o in outs:
-                if o not in start:
-                    n += 1
-            if n:
-                outside[mid] = n
-            elif s not in inside:
-                inside.add(s)
-                work.append(s)
-        while work:
-            t = work.pop()
-            for mid in preds.get(t, ()):
-                n = outside.get(mid)
-                if n is None:
-                    continue
-                if n > 1:
-                    outside[mid] = n - 1
-                    continue
-                del outside[mid]
-                s = owners[mid][0]
-                if s not in inside:
-                    inside.add(s)
-                    work.append(s)
-        return frozenset(inside)
-
-    def _greatest(self, hold):
-        owners, preds = self._compiled()
-        outside = {}  # move id -> outcomes no longer in X
-        good = dict.fromkeys(hold, 0)  # state -> moves inside X
-        for mid, (s, outs) in enumerate(owners):
-            if s not in good:
-                continue
-            n = 0
-            for o in outs:
-                if o not in hold:
-                    n += 1
-            outside[mid] = n
-            if not n:
-                good[s] += 1
-        work = [s for s, n in good.items() if not n]
-        dropped = set(work)
-        while work:
-            t = work.pop()
-            for mid in preds.get(t, ()):
-                n = outside.get(mid)
-                if n is None:
-                    continue
-                outside[mid] = n + 1
-                if n:
-                    continue
-                s = owners[mid][0]
-                good[s] -= 1
-                if not good[s]:
-                    dropped.add(s)
-                    work.append(s)
-        return hold - dropped
-
 
 class Arenas:
     """The arenas of one labelling call, one per normalised coalition."""
@@ -353,46 +232,6 @@ def pre(m: Model, coalition, rho, bound: Vec, mode: Semantics = Semantics.RBATL
     """States where the coalition has a move within `bound` whose outcomes
     all land in rho: a one-shot `Arena.pre`."""
     return Arena(m, coalition, mode).pre(rho, bound)
-
-
-def atl_label(m: Model, f: Formula, lower: dict, mode: Semantics = Semantics.RBATL
-              ) -> frozenset[str]:
-    """Label one formula given labels for its strict subformulas.
-
-    Propositions and connectives are set algebra; modalities must carry the
-    all-INF bound and are solved over a one-shot `Arena`.
-    """
-    states = m.state_set()
-    if isinstance(f, TrueConst):
-        return states
-    if isinstance(f, FalseConst):
-        return frozenset()
-    if isinstance(f, Prop):
-        return m.proposition_states(f.name)
-    if isinstance(f, Not):
-        return states - lower[f.child]
-    if isinstance(f, Or):
-        return lower[f.left] | lower[f.right]
-    if isinstance(f, And):
-        return lower[f.left] & lower[f.right]
-    if not is_modal(f):
-        raise EngineError(f"unknown formula node: {f!r}")
-    if not is_all_inf(f.bound):
-        raise EngineError(
-            "atl_label only handles all-inf bounds; finite bounds go to the "
-            "bounded checker"
-        )
-    return Arena(m, f.coalition, mode).label(f, lower)
-
-
-def eval_propositional(m: Model, f: Formula) -> frozenset[str]:
-    """Label a modality-free formula from the model's propositions."""
-    labels: dict = {}
-    for g in sub_ordered(f):
-        if is_modal(g):
-            raise ModelError(f"formula is not propositional: {f!r}")
-        labels[g] = atl_label(m, g, labels)
-    return labels[f]
 
 
 def check_inputs(m: Model, f0: Formula) -> None:

@@ -1,27 +1,31 @@
 """The general labelling engine: dispatcher, minimal credits and the
 always search.
 
-Bounded until and always are decided by minimal credits.  The
+Until and always, bounded or not, are decided by minimal credits.  The
 availabilities from which A wins are upward-closed, so each state's are
 the upward closure of a finite antichain of minimal credits (Dickson's
-lemma), taken over the finite components of b.  One state worklist
-computes both.  It recomputes a state's antichain from its moves: a move
-joins its outcomes' antichains into their minimal componentwise maxima
-(the antichain join of De Wulf, Doyen, Henzinger and Raskin, CAV 2006),
-and each joined credit x asks for max(0, step budget, x + cost).  An
+lemma), taken over the finite components of b.  Under the all-INF bound
+no component is finite, an antichain holds the empty credit or nothing,
+and the credits are the classical set fixpoints.  One state worklist
+computes all of them.  It recomputes a state's antichain from its moves:
+a move joins its outcomes' antichains into their minimal componentwise
+maxima (the antichain join of De Wulf, Doyen, Henzinger and Raskin, CAV
+2006), and each joined credit x asks for max(0, step budget, x + cost).  An
 until starts from credit 0 on its goal states (a least fixpoint).  Each
 new credit keeps its move and comes from credits inserted before it, so
 the earliest-inserted credit below an availability gives a finite
 strategy: each outcome then has an earlier credit below what is left.
-An always starts from credit 0 on every state of its unbounded label (a
-greatest fixpoint, as in the consumption games of Brázdil, Chatterjee,
-Kučera and Novotný, CAV 2012).  Where no move it reads produces on a
-finite component, availability never grows, so dropping every credit
-above the largest bound asked for is exact.
+An always starts from credit 0 on every state of its guard (a greatest
+fixpoint, as in the consumption games of Brázdil, Chatterjee, Kučera and
+Novotný, CAV 2012).  Where no move it reads produces on a finite
+component, availability never grows, so dropping every credit above the
+largest bound asked for is exact.  A state's move scan stops at credit
+0, which dominates every later candidate, and an until never requeues a
+state that holds it: until credits only fall.
 
 Other bounded always, and always certificates, come from depth-first
 and-or search whose nodes carry the remaining availability.  Its check
-order is frozen: unbounded guard, strict-loss-false, loopback-true, moves.
+order is frozen: guard, strict-loss-false, loopback-true, moves.
 
 `label_all` is the one labelling loop, of `model_check` and of the
 consumption-only bound ladder of `rbatl.symbolic`.
@@ -31,16 +35,22 @@ from __future__ import annotations
 
 import bisect
 import operator
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .atl import Arena, Arenas, Semantics, atl_label, check_inputs
-from .errors import EngineError, ModelError
+from .atl import Arena, Arenas, Semantics, check_inputs
+from .errors import EngineError, ModelError, VectorError
 from .formula import (
+    And,
     CoalitionAlways,
     CoalitionNext,
     CoalitionUntil,
+    FalseConst,
     Formula,
+    Not,
+    Or,
+    Prop,
+    TrueConst,
     children,
     format_formula,
     is_modal,
@@ -60,11 +70,12 @@ from .witness import (
 
 @dataclass
 class SearchStats:
-    """Instrumentation for the bounded modalities (per model_check call).
+    """Instrumentation for the modalities (per model_check call).
 
-    `nodes` counts the credits inserted, for until and always, and the
-    nodes of the always search; `max_depth` is the height of the tallest
-    until strategy or the depth of the deepest always search node.
+    `nodes` counts the credits inserted, for every until and always (one
+    per state of the label under the all-INF bound), and the nodes of the
+    always search; `max_depth` is the height of the tallest until
+    strategy or the depth of the deepest always search node.
     `pumps` and `cache_hits` belong to the pumping search the credits
     replaced and stay 0.
     """
@@ -113,17 +124,21 @@ def _join(a: dict, b: dict) -> dict:
 
 
 def _guard(arena: Arena, f, labels):
-    """The label of f's all-INF variant, computed when `labels` lacks it:
-    `label_all` labels the variant first, so only direct callers of the
-    strategy functions need the fixpoint."""
+    """The label of f's all-INF variant when `labels` has it, which
+    `label_all` puts there first; else what f's arguments allow, hold or
+    goal for an until and the child for an always.  Either holds every
+    state where f does, so the credits are the same from both."""
     guard = labels.get(with_bound(f, all_inf(arena.m.r)))
-    if guard is None:
-        guard = arena.fixpoint(*(labels[g] for g in children(f)))
-    return guard
+    if guard is not None:
+        return guard
+    if isinstance(f, CoalitionUntil):
+        return labels[f.hold] | labels[f.goal]
+    return labels[f.child]
 
 
 class _Credits:
-    """The minimal credits of one bounded until or always on an arena.
+    """The minimal credits of one until or always on an arena, bounded or
+    not.
 
     Credits range over the components where `avail` is finite.  With
     `start`, only the states reachable from it through hold states are
@@ -135,6 +150,9 @@ class _Credits:
 
     def __init__(self, arena: Arena, f, labels, stats, avail: Vec,
                  start: str | None = None):
+        if len(avail) != arena.m.r:
+            raise VectorError(f"availability of length {len(avail)} for "
+                              f"{arena.m.r} resources")
         self.agents = arena.agents
         fin = self.fin = tuple(i for i, x in enumerate(avail) if x is not INF)
         guard = _guard(arena, f, labels)
@@ -149,7 +167,7 @@ class _Credits:
         # per solved state, in model order as certificates follow insertion
         # order: its moves into the guard, with their credit floor and cost
         # on the finite components
-        steps, preds, ready = {}, {}, []
+        steps, preds, ready = {}, defaultdict(list), []
         for s in arena.m.states:
             if s not in solved:
                 continue
@@ -163,8 +181,9 @@ class _Credits:
                     return
                 mine.append((mv, tuple(max(0, mv[2][i]) for i in fin), cost))
                 for o in mv[3]:
-                    preds.setdefault(o, {})[s] = None
-            if any(seeds.issuperset(mv[3]) for mv, _, _ in mine):
+                    preds[o].append(s)
+            if cap is not None or any(seeds.issuperset(mv[3])
+                                      for mv, _, _ in mine):
                 ready.append(s)
         # per state: its antichain (credit -> height of its strategy), its
         # credits in insertion order with their moves, and their prefix minima
@@ -188,7 +207,8 @@ class _Credits:
                     got = minimal.get(o)
                     if not got:
                         break
-                    joined = got if joined is bare else _join(joined, got)
+                    if joined is not got:  # seeds share one antichain
+                        joined = got if joined is bare else _join(joined, got)
                 else:
                     for x, h in joined.items():
                         cand = tuple(map(max, floor,
@@ -200,6 +220,8 @@ class _Credits:
                             del new[c]
                         new[cand] = h + 1
                         made.append((cand, mv))
+                    if zero in new:  # every later candidate is dominated
+                        break
             old = minimal.get(s, {})
             if new.keys() == old.keys():
                 continue
@@ -215,7 +237,9 @@ class _Credits:
                     if cap is None:
                         stats.max_depth = max(stats.max_depth, new[cand])
             for p in preds.get(s, ()):
-                if p not in queued:
+                # until credits only fall, so credit 0 is final
+                if p not in queued and (cap is not None
+                                        or zero not in minimal.get(p, ())):
                     queued.add(p)
                     work.append(p)
 
@@ -353,12 +377,12 @@ def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
     """Label every formula in sub_ordered(f0) with its satisfying states;
     the map lists them in that order.
 
-    Propositions and connectives are set algebra; all-INF modalities go to
-    the classical fixpoints; bounded next is a single predecessor step; a
-    bounded until or always reads its label off one minimal-credit
-    computation over all states, except an always whose moves produce,
-    which runs the tree search from every state.  All of them take their
-    moves from one arena per coalition, kept for the length of the call.
+    Propositions and connectives are set algebra; next is a single
+    predecessor step; an until or always, bounded or not, reads its label
+    off one minimal-credit computation over all states, except a bounded
+    always whose moves produce, which runs the tree search from every
+    state.  All of them take their moves from one arena per coalition,
+    kept for the length of the call.
     """
     check_inputs(m, f0)
     return label_all(m, sub_ordered(f0), mode, stats or SearchStats())
@@ -387,15 +411,15 @@ def label_all(m: Model, order, mode: Semantics, stats
     credits: dict = {}
     caps: dict = {}
     for f in order:
-        if isinstance(f, CoalitionAlways) and not is_all_inf(f.bound):
+        if isinstance(f, CoalitionAlways):
             key = _credit_key(f)
             caps[key] = tuple(map(max, caps.get(key, f.bound), f.bound))
     same: dict = {}
     for f in order:
         if not is_modal(f):
             x = atl_label(m, f, labels, mode)
-        elif isinstance(f, CoalitionNext) or is_all_inf(f.bound):
-            x = arenas(f.coalition).label(f, labels)
+        elif isinstance(f, CoalitionNext):
+            x = arenas(f.coalition).pre(labels[f.child], f.bound)
         else:
             key = _credit_key(f)
             c = credits.get(key)
@@ -411,6 +435,51 @@ def label_all(m: Model, order, mode: Semantics, stats
                 x = frozenset(s for s in m.states if c.holds(s, f.bound))
         labels[f] = same.setdefault(x, x)
     return labels
+
+
+def atl_label(m: Model, f: Formula, lower: dict,
+              mode: Semantics = Semantics.RBATL) -> frozenset[str]:
+    """Label one formula given labels for its strict subformulas.
+
+    Propositions and connectives are set algebra; modalities must carry the
+    all-INF bound and are solved over a one-shot `Arena`: next by one
+    predecessor step, until and always by credits with no finite component.
+    """
+    states = m.state_set()
+    if isinstance(f, TrueConst):
+        return states
+    if isinstance(f, FalseConst):
+        return frozenset()
+    if isinstance(f, Prop):
+        return m.proposition_states(f.name)
+    if isinstance(f, Not):
+        return states - lower[f.child]
+    if isinstance(f, Or):
+        return lower[f.left] | lower[f.right]
+    if isinstance(f, And):
+        return lower[f.left] & lower[f.right]
+    if not is_modal(f):
+        raise EngineError(f"unknown formula node: {f!r}")
+    if not is_all_inf(f.bound):
+        raise EngineError(
+            "atl_label only handles all-inf bounds; finite bounds go to the "
+            "bounded checker"
+        )
+    arena = Arena(m, f.coalition, mode)
+    if isinstance(f, CoalitionNext):
+        return arena.pre(lower[f.child], f.bound)
+    credits = _Credits(arena, f, lower, SearchStats(), f.bound)
+    return frozenset(s for s in m.states if credits.holds(s, f.bound))
+
+
+def eval_propositional(m: Model, f: Formula) -> frozenset[str]:
+    """Label a modality-free formula from the model's propositions."""
+    labels: dict = {}
+    for g in sub_ordered(f):
+        if is_modal(g):
+            raise ModelError(f"formula is not propositional: {f!r}")
+        labels[g] = atl_label(m, g, labels)
+    return labels[f]
 
 
 def find_witness(m: Model, f: Formula, state: str,

@@ -15,8 +15,8 @@ import sys
 import traceback
 from pathlib import Path
 
-from .atl import Semantics, eval_propositional
-from .checker import SearchStats, find_witness, model_check
+from .atl import Semantics
+from .checker import SearchStats, eval_propositional, find_witness, model_check
 from .errors import RBATLError
 from .formula import CoalitionAlways, CoalitionUntil, Formula, format_formula
 from .modelio import load_model, save_model

@@ -200,11 +200,14 @@ def witness_from_dict(data) -> WitnessTree:
     kind = data.get("kind")
     if kind not in ("until", "box"):
         raise WitnessError(f"unknown witness kind {kind!r}")
+    mode = data.get("mode")
+    if mode not in [member.value for member in Semantics]:
+        raise WitnessError(f"unknown witness mode {mode!r}")
     return WitnessTree(
         kind=kind,
         coalition=_names(data.get("coalition", []), "coalition"),
         bound=_vec_from_json(data.get("bound", [])),
-        mode=Semantics.from_name(data.get("mode", "")),
+        mode=Semantics(mode),
         formula=data.get("formula", ""),
         root=_node_from_dict(data.get("root")),
     )

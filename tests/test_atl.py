@@ -5,6 +5,8 @@ import pytest
 
 from rbatl import (
     INF,
+    CoalitionAlways,
+    CoalitionUntil,
     Model,
     Prop,
     Semantics,
@@ -26,7 +28,7 @@ import modelgen
 MODES = (Semantics.RBATL, Semantics.NT, Semantics.RAL_FINITE)
 
 
-# -- loop-until-stable reference for the arena's pre and fixpoint ----------
+# -- loop-until-stable reference for the arena's pre and the fixpoints ----
 
 
 def loop_pre(m, coalition, rho, bound, mode):
@@ -178,18 +180,28 @@ def test_arena_pre_matches_the_loop():
     assert checked > 1000
 
 
+def unbounded(m, A, hold, goal, mode):
+    """The all-INF until (given a goal) or always over placeholder
+    propositions labelled hold and goal, by `atl_label`."""
+    labels = {Prop("h"): hold, Prop("g"): goal}
+    if goal is None:
+        f = CoalitionAlways(A, all_inf(m.r), Prop("h"))
+    else:
+        f = CoalitionUntil(A, all_inf(m.r), Prop("h"), Prop("g"))
+    return atl_label(m, f, labels, mode)
+
+
 def test_arena_fixpoint_matches_the_loop():
     rng = random.Random(15)
     for m in differential_models(rng):
         for mode in MODES:
             A = modelgen.random_coalition(rng, m)
-            arena = Arena(m, A, mode)
             for _ in range(4):
                 hold = random_states(rng, m, 0.7)
                 goal = random_states(rng, m, 0.3)
                 for g in (goal, None):
                     want = loop_fixpoint(m, A, hold, g, mode)
-                    assert arena.fixpoint(hold, g) == want
+                    assert unbounded(m, A, hold, g, mode) == want
 
 
 def test_arena_fixpoint_keeps_a_move_without_outcomes():
@@ -201,7 +213,7 @@ def test_arena_fixpoint_keeps_a_move_without_outcomes():
     hold = frozenset(m.states)
     for mode, want in ((Semantics.RBATL, hold), (Semantics.NT, frozenset())):
         for goal in (frozenset(), None):
-            got = Arena(m, ["a"], mode).fixpoint(hold, goal)
+            got = unbounded(m, ["a"], hold, goal, mode)
             assert got == want
             assert got == loop_fixpoint(m, ["a"], hold, goal, mode)
 

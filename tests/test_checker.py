@@ -1,4 +1,5 @@
 import random
+from collections import Counter, deque
 
 import pytest
 
@@ -8,6 +9,7 @@ from rbatl import (
     ModelError,
     Model,
     Semantics,
+    VectorError,
     box_strategy,
     find_witness,
     model_check,
@@ -281,7 +283,45 @@ def test_zero_cost_chain_of_2000_states():
     f = parse_formula("<{a}: 0> (true U p)")
     stats = SearchStats()
     assert model_check(m, f, stats=stats)[f] == m.state_set()
-    assert stats.nodes == n  # one credit per state
+    assert stats.nodes == 2 * n  # one credit per state, in f and its guard
+
+
+def test_zero_cost_chain_until_recomputes_each_state_once(monkeypatch):
+    # credit 0 is final for an until, so a state that holds it is not
+    # queued again when its idle loop or its successor changes
+    runs = []
+
+    class Recording(deque):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.popped = Counter()
+            runs.append(self.popped)
+
+        def popleft(self):
+            s = super().popleft()
+            self.popped[s] += 1
+            return s
+
+    monkeypatch.setattr(checker, "deque", Recording)
+    n = 50
+    m = modelgen.zero_cost_chain(n)
+    f = parse_formula("<{a}: 0> (true U p)")
+    assert model_check(m, f)[f] == m.state_set()
+    solved = m.state_set() - m.proposition_states("p")
+    assert len(runs) == 2  # f and its guard
+    for popped in runs:
+        assert set(popped) == solved
+        assert set(popped.values()) == {1}
+
+
+def test_wrong_length_availability_raises(fig1):
+    f = CoalitionUntil(("a1", "a2"), (0,), TRUE, Prop("p"))
+    labels = {TRUE: fig1.state_set(), Prop("p"): frozenset({"s_prime"})}
+    with pytest.raises(VectorError):
+        until_strategy(fig1, node0("s_I", (0,)), f, labels)
+    g = CoalitionAlways(("a1", "a2"), (0,), TRUE)
+    with pytest.raises(VectorError):
+        box_strategy(fig1, node0("s_I", (0,)), g, labels)
 
 
 def test_single_resource_depth_bound():

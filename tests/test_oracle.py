@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rbatl import EngineError, Semantics, UNKNOWN, bounded_search, model_check
-from rbatl.atl import eval_propositional
+from rbatl import eval_propositional
 from rbatl.formula import CoalitionAlways, CoalitionUntil
 from rbatl.parser import parse_formula
 

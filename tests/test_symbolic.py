@@ -12,8 +12,8 @@ from rbatl import (
     rb_atl_label,
     split,
 )
-from rbatl.atl import Arena
-from rbatl.formula import sub_ordered, with_bound
+from rbatl import checker
+from rbatl.formula import CoalitionUntil, sub_ordered, with_bound
 from rbatl.symbolic import is_consumption_only
 
 import modelgen
@@ -65,19 +65,22 @@ def test_ladder_uses_split_variants(chain):
 
 
 def test_ladder_computes_each_guard_once(monkeypatch):
-    # the all-INF variant is labelled before the ladder reads it as a guard
-    calls = []
-    fixpoint = Arena.fixpoint
+    # the all-INF variant is labelled before the ladder reads it as a
+    # guard, and every bound of the ladder reads one set of credits
+    keys = []
+    credits = checker._Credits
 
-    def counted(self, *args):
-        calls.append(args)
-        return fixpoint(self, *args)
+    def counted(arena, f, *args):
+        keys.append(checker._credit_key(f))
+        return credits(arena, f, *args)
 
-    monkeypatch.setattr(Arena, "fixpoint", counted)
+    monkeypatch.setattr(checker, "_Credits", counted)
     f = parse_formula("<{a}: 3> (true U p)")
     labels = rb_atl_label(modelgen.zero_cost_chain(6), f)
     assert with_bound(f, (INF,)) in labels
-    assert len(calls) == 1
+    assert sorted(keys) == sorted({checker._credit_key(g) for g in labels
+                                   if isinstance(g, CoalitionUntil)})
+    assert len(keys) == 2  # the guard's and the ladder's
 
 
 def _no_affordable_move():

@@ -292,6 +292,15 @@ def test_loader_rejects_names_that_are_not_strings(fig1):
             witness_from_dict(data)
 
 
+def test_loader_rejects_an_unknown_mode(fig1):
+    _, _, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
+    for bad in ("bogus", 5, None):
+        data = witness_to_dict(tree)
+        data["mode"] = bad
+        with pytest.raises(WitnessError):
+            witness_from_dict(data)
+
+
 def test_loader_rejects_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "cert.json"
     path.write_bytes(b'\xff\xfe{"format_version": 1}')
