@@ -175,11 +175,15 @@ class _Credits:
             for mv in arena.row(s):
                 if not guard.issuperset(mv[3]):
                     continue
-                cost = tuple(mv[1][i] for i in fin)
-                if cap is not None and any(c < 0 for c in cost):
-                    self.minimal = None
-                    return
-                mine.append((mv, tuple(max(0, mv[2][i]) for i in fin), cost))
+                if fin:
+                    cost = tuple(mv[1][i] for i in fin)
+                    if cap is not None and any(c < 0 for c in cost):
+                        self.minimal = None
+                        return
+                    floor = tuple(max(0, mv[2][i]) for i in fin)
+                else:  # nothing to project, nor to produce on
+                    cost = floor = ()
+                mine.append((mv, floor, cost))
                 for o in mv[3]:
                     preds[o].append(s)
             if cap is not None or any(seeds.issuperset(mv[3])

@@ -1,5 +1,8 @@
 """Formula AST, printer, and the subformula orders the checkers walk.
 
+Formulas are interned: building a formula that exists already returns the
+existing node, so equal formulas are one object.
+
 Coalition modalities carry a per-resource bound; the all-INF bound plays the
 role of the plain (unbounded) strategic modality.  `sub_ordered` lists the
 closure the general checker labels: each subformula after its children, and
@@ -11,55 +14,116 @@ always.  Both are one post-order walk, `_closure`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 
 from .errors import FormulaError
 from .vectors import INF, Vec, all_inf, is_all_inf, is_bound_vec, split
 
 
+class _Ref(weakref.ref):
+    """A table entry: a weak reference to a node that knows its own key."""
+
+    __slots__ = ("key",)
+
+
+# The constructor table (hash-consing, Filliâtre & Conchon, "Type-safe
+# modular hash-consing", ML Workshop 2006): structure -> weak reference to
+# the one node with that structure.  A key holds the node's class and its
+# fields, children as nodes, so a lookup hashes no subtree.
+_table: dict[tuple, _Ref] = {}
+
+
+def _drop(ref: _Ref, table=_table) -> None:
+    # the node is gone; a new node may already hold its key.  `table` is
+    # bound here, so this still runs while the interpreter shuts down.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _node(cls, *fields):
+    """The one node of class cls with these (normalised) fields."""
+    key = (cls, *fields)
+    ref = _table.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    ref = _table[key] = _Ref(node, _drop)
+    ref.key = key
+    return node
+
+
 class Formula:
+    """An interned formula node: each distinct formula is one object, so
+    `==` and `hash` are identity and never walk a subtree.  Nodes are
+    immutable and built only through their class."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("formulas are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("formulas are immutable")
+
+    def __repr__(self):
+        return format_formula(self)
+
+    def __reduce__(self):
+        # pickling and copy.copy rebuild through the class: the same node
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class TrueConst(Formula):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class TrueConst(Formula):
-    def __repr__(self):
-        return "true"
+    def __new__(cls):
+        return _node(cls)
 
 
-@dataclass(frozen=True)
 class FalseConst(Formula):
-    def __repr__(self):
-        return "false"
+    __slots__ = ()
+
+    def __new__(cls):
+        return _node(cls)
 
 
 TRUE = TrueConst()
 FALSE = FalseConst()
 
 
-@dataclass(frozen=True)
 class Prop(Formula):
-    name: str
+    __slots__ = ("name",)
 
-    def __repr__(self):
-        return self.name
+    def __new__(cls, name):
+        return _node(cls, name)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
+
+    def __new__(cls, child):
+        return _node(cls, child)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        return _node(cls, left, right)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        return _node(cls, left, right)
 
 
 def _norm_coalition(names) -> tuple[str, ...]:
@@ -73,38 +137,28 @@ def _norm_bound(bound) -> Vec:
     return b
 
 
-@dataclass(frozen=True)
 class CoalitionNext(Formula):
-    coalition: tuple[str, ...]
-    bound: Vec
-    child: Formula
+    __slots__ = ("coalition", "bound", "child")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coalition", _norm_coalition(self.coalition))
-        object.__setattr__(self, "bound", _norm_bound(self.bound))
+    def __new__(cls, coalition, bound, child):
+        return _node(cls, _norm_coalition(coalition), _norm_bound(bound),
+                     child)
 
 
-@dataclass(frozen=True)
 class CoalitionAlways(Formula):
-    coalition: tuple[str, ...]
-    bound: Vec
-    child: Formula
+    __slots__ = ("coalition", "bound", "child")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coalition", _norm_coalition(self.coalition))
-        object.__setattr__(self, "bound", _norm_bound(self.bound))
+    def __new__(cls, coalition, bound, child):
+        return _node(cls, _norm_coalition(coalition), _norm_bound(bound),
+                     child)
 
 
-@dataclass(frozen=True)
 class CoalitionUntil(Formula):
-    coalition: tuple[str, ...]
-    bound: Vec
-    hold: Formula
-    goal: Formula
+    __slots__ = ("coalition", "bound", "hold", "goal")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coalition", _norm_coalition(self.coalition))
-        object.__setattr__(self, "bound", _norm_bound(self.bound))
+    def __new__(cls, coalition, bound, hold, goal):
+        return _node(cls, _norm_coalition(coalition), _norm_bound(bound),
+                     hold, goal)
 
 
 MODAL_TYPES = (CoalitionNext, CoalitionAlways, CoalitionUntil)

@@ -3,6 +3,9 @@
 A model is immutable after construction and deliberately permissive about
 what it stores; `validate_model` reports every invariant violation as data
 so malformed inputs can be diagnosed rather than rejected mid-construction.
+Construction is one walk over the inputs, shared with the model file
+loader: it type-checks a file's fields, copies everything once and records
+the violations as it goes.
 All enumeration orders derive from declared order (states, agents, actions),
 which keeps every downstream search and witness reproducible.
 """
@@ -10,6 +13,8 @@ which keeps every downstream search and witness reproducible.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -44,27 +49,18 @@ class Model:
     total=True asserts the idle discipline (checked by validate_model).
     """
 
+    agents: tuple[str, ...]
+    resources: tuple[str, ...]
+    states: tuple[str, ...]
+    labels: dict[str, frozenset[str]]
+    actions: dict[str, dict[str, dict[str, Vec]]]
+    transitions: dict[str, dict[tuple[str, ...], str]]
+    total: bool
+
     def __init__(self, agents, resources, states, labels, actions, transitions,
                  total=True):
-        self.agents: tuple[str, ...] = tuple(agents)
-        self.resources: tuple[str, ...] = tuple(resources)
-        self.states: tuple[str, ...] = tuple(states)
-        self.labels: dict[str, frozenset[str]] = {
-            p: frozenset(ss) for p, ss in labels.items()
-        }
-        self.actions: dict[str, dict[str, dict[str, Vec]]] = {
-            s: {a: {act: tuple(cost) for act, cost in menu.items()}
-                for a, menu in per_agent.items()}
-            for s, per_agent in actions.items()
-        }
-        self.transitions: dict[str, dict[tuple[str, ...], str]] = {
-            s: {tuple(ja): target for ja, target in moves.items()}
-            for s, moves in transitions.items()
-        }
-        self.total = bool(total)
-        self._state_index = {s: i for i, s in enumerate(self.states)}
-        self._agent_index = {a: i for i, a in enumerate(self.agents)}
-        self._violations: tuple[str, ...] | None = None  # see validate_model
+        _fill(self, agents, resources, states, labels, actions, transitions,
+              total)
 
     # -- basic accessors -------------------------------------------------
 
@@ -146,15 +142,56 @@ def validate_model(m: Model) -> list[str]:
 
     Totality requirements (idle everywhere, zero idle cost, transitions on
     every full joint action) are only checked when the total flag is set.
-    The model is immutable, so the check runs once per model and later
-    calls return a fresh copy of its result.
+    The violations are recorded while the model is built; each call
+    returns a fresh copy of them.
     """
-    if m._violations is None:
-        m._violations = tuple(_violations(m))
     return list(m._violations)
 
 
-def _violations(m: Model) -> list[str]:
+def _require(cond, message):
+    if not cond:
+        raise ModelError(message)
+
+
+def _strings(coll) -> bool:
+    """Whether coll is a list of strings; `str.join` takes nothing else."""
+    if not isinstance(coll, list):
+        return False
+    try:
+        "".join(coll)
+    except TypeError:
+        return False
+    return True
+
+
+_INT = frozenset({int})
+_LIST = frozenset({list})
+
+
+def _fill(m: Model, agents, resources, states, labels, actions, transitions,
+          total, file=False) -> None:
+    """Build m from its fields in one walk and record its violations.
+
+    With `file`, the fields are those of a decoded model file: each must
+    have its JSON type, checked in file order (a ModelError names the
+    first that has not), and `transitions` is the file's list of
+    {state, action, next} records.  Otherwise the fields are taken as
+    given, and `validate_model` reports what is wrong with them.  The
+    violations come in one fixed order: names, labels, actions, idle,
+    transitions, missing transitions.
+    """
+    if file:
+        for name, coll in (("agents", agents), ("resources", resources),
+                           ("states", states)):
+            _require(_strings(coll), f"{name} must be a list of strings")
+    m.agents = tuple(agents)
+    m.resources = tuple(resources)
+    m.states = tuple(states)
+    m._state_index = {s: i for i, s in enumerate(m.states)}
+    m._agent_index = {a: i for i, a in enumerate(m.agents)}
+    known = frozenset(m.states)
+    r = len(m.resources)
+    lengths = {r}
     errs: list[str] = []
     if not m.states:
         errs.append("model has no states")
@@ -162,57 +199,130 @@ def _violations(m: Model) -> list[str]:
         errs.append("model has no agents")
     for coll, kind in ((m.states, "state"), (m.agents, "agent"),
                        (m.resources, "resource")):
-        counts = Counter(coll)
-        for d in sorted(x for x, n in counts.items() if n > 1):
-            errs.append(f"duplicate {kind} name {d!r}")
-    known = set(m.states)
-    for prop, ss in sorted(m.labels.items()):
-        for s in sorted(ss - known):
-            errs.append(f"proposition {prop!r} labels unknown state {s!r}")
-    for s, per_agent in m.actions.items():
+        if len(set(coll)) < len(coll):
+            counts = Counter(coll)
+            for d in sorted(x for x, n in counts.items() if n > 1):
+                errs.append(f"duplicate {kind} name {d!r}")
+
+    if file:
+        _require(isinstance(labels, dict), "labels must be an object")
+    m.labels = {}
+    unlabelled = []  # (proposition, its unknown states)
+    for p, ss in labels.items():
+        if file and not _strings(ss):
+            raise ModelError(f"labels[{p!r}] must be a list of states")
+        ss = m.labels[p] = frozenset(ss)
+        if not ss.issubset(known):
+            unlabelled.append((p, ss.difference(known)))
+    for p, unknown in sorted(unlabelled):
+        for s in sorted(unknown):
+            errs.append(f"proposition {p!r} labels unknown state {s!r}")
+
+    if file:
+        _require(isinstance(actions, dict), "actions must be an object")
+    m.actions = {}
+    for s, per_agent in actions.items():
+        if file and not isinstance(per_agent, dict):
+            raise ModelError(f"actions[{s!r}] must be an object")
         if s not in known:
             errs.append(f"actions declared for unknown state {s!r}")
+        per = m.actions[s] = {}
         for a, menu in per_agent.items():
+            if file and not isinstance(menu, dict):
+                raise ModelError(f"actions[{s!r}][{a!r}] must be an object")
             if a not in m._agent_index:
                 errs.append(f"actions declared for unknown agent {a!r} in state {s!r}")
-            for act, cost in menu.items():
-                if not is_cost_vec(cost) or len(cost) != m.r:
-                    errs.append(
-                        f"cost of action {act!r} for agent {a!r} in state {s!r} "
-                        f"is not an integer vector of length {m.r}"
-                    )
-    if m.total:
-        for s in m.states:
-            for a in m.agents:
-                menu = m.actions.get(s, {}).get(a, {})
-                if IDLE not in menu:
-                    errs.append(f"total model: idle missing for agent {a!r} in state {s!r}")
-                elif tuple(menu[IDLE]) != m.zero_cost():
-                    errs.append(f"total model: idle has non-zero cost for agent {a!r} in state {s!r}")
+            # the common case, exact ints of the right count, is checked
+            # per menu without a Python-level loop per cost
+            costs = menu.values()
+            exact = file and _LIST.issuperset(map(type, costs)) and (
+                _INT.issuperset(map(type, itertools.chain.from_iterable(costs))))
+            if file and not exact:
+                for act, cost in menu.items():
+                    _require(isinstance(cost, list) and all(
+                        isinstance(c, int) and not isinstance(c, bool)
+                        for c in cost),
+                        f"cost of {act!r} at {s!r}/{a!r} must be a list of integers")
+            out = per[a] = {act: tuple(cost) for act, cost in menu.items()}
+            costs = out.values()
+            if not (exact or _INT.issuperset(
+                    map(type, itertools.chain.from_iterable(costs)))) or (
+                    not lengths.issuperset(map(len, costs))):
+                for act, cost in out.items():
+                    if not is_cost_vec(cost) or len(cost) != r:
+                        errs.append(
+                            f"cost of action {act!r} for agent {a!r} in state {s!r} "
+                            f"is not an integer vector of length {r}"
+                        )
+
+    if file:
+        _require(isinstance(transitions, list), "transitions must be a list")
+        m.transitions = {}
+        for rec in transitions:
+            if not (isinstance(rec, dict) and "state" in rec
+                    and "action" in rec and "next" in rec):
+                raise ModelError("each transition needs state, action, next")
+            combo = rec["action"]
+            if not _strings(combo):
+                raise ModelError(f"transition action at {rec['state']!r} "
+                                 "must be a list of action names")
+            s = rec["state"]
+            moves = m.transitions.get(s)
+            if moves is None:
+                moves = m.transitions[s] = {}
+            key = tuple(combo)
+            if key in moves:
+                raise ModelError(f"duplicate transition at {s!r} for {key!r}")
+            moves[key] = rec["next"]
+        _require(isinstance(total, bool), "total must be a boolean")
+    else:
+        m.transitions = {s: {tuple(ja): target for ja, target in moves.items()}
+                         for s, moves in transitions.items()}
+    m.total = bool(total)
+
+    full = {}  # per state, its transitions on full joint actions of its menus
+    moved: list[str] = []
+    n = len(m.agents)
     for s, moves in m.transitions.items():
         if s not in known:
-            errs.append(f"transition declared at unknown state {s!r}")
+            moved.append(f"transition declared at unknown state {s!r}")
             continue
+        per = m.actions.get(s, {})
+        menus = [per.get(a, {}) for a in m.agents]
+        count = 0
         for combo, target in moves.items():
-            if len(combo) != len(m.agents):
-                errs.append(f"transition at {s!r} has joint action of arity {len(combo)}")
+            if len(combo) != n:
+                moved.append(f"transition at {s!r} has joint action of arity {len(combo)}")
                 continue
-            for a, act in zip(m.agents, combo):
-                if act not in m.actions.get(s, {}).get(a, {}):
-                    errs.append(
-                        f"transition at {s!r} uses action {act!r} unavailable to agent {a!r}"
-                    )
+            if all(map(operator.contains, menus, combo)):
+                count += 1
+            else:
+                for a, act, menu in zip(m.agents, combo, menus):
+                    if act not in menu:
+                        moved.append(
+                            f"transition at {s!r} uses action {act!r} unavailable to agent {a!r}"
+                        )
             if target not in known:
-                errs.append(f"transition at {s!r} targets unknown state {target!r}")
+                moved.append(f"transition at {s!r} targets unknown state {target!r}")
+        full[s] = count
+    missing: list[str] = []
     if m.total:
+        zero = (0,) * r
         for s in m.states:
-            menus = [m.actions.get(s, {}).get(a, {}) for a in m.agents]
-            if any(IDLE not in menu for menu in menus):
-                continue  # already reported above
-            moves = m.transitions.get(s, {})
-            for combo in itertools.product(*(tuple(menu) for menu in menus)):
-                if combo not in moves:
-                    errs.append(
-                        f"total model: no transition at {s!r} for joint action {combo!r}"
-                    )
-    return errs
+            per = m.actions.get(s, {})
+            menus = [per.get(a, {}) for a in m.agents]
+            idle = True
+            for a, menu in zip(m.agents, menus):
+                if IDLE not in menu:
+                    idle = False
+                    errs.append(f"total model: idle missing for agent {a!r} in state {s!r}")
+                elif menu[IDLE] != zero:
+                    errs.append(f"total model: idle has non-zero cost for agent {a!r} in state {s!r}")
+            # keys are distinct, so as many full joint actions as the
+            # product of the menus' sizes means that none is missing
+            if idle and full.get(s, 0) != math.prod(map(len, menus)):
+                moves = m.transitions.get(s, {})
+                missing.extend(
+                    f"total model: no transition at {s!r} for joint action {combo!r}"
+                    for combo in itertools.product(*menus) if combo not in moves)
+    m._violations = (*errs, *moved, *missing)

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the concrete formula syntax.
+"""Loop parser for the concrete formula syntax.
 
 Grammar (EBNF, also published in the README):
 
@@ -20,6 +20,11 @@ Grammar (EBNF, also published in the README):
 form is only accepted with endowments=True and is translated on the fly:
 each annotated modality gets the per-resource sum of its members' rows as
 its bound.
+
+One regex scan splits the text into tokens, and one loop reads them with
+an explicit stack of pending operators and open brackets, so nesting depth
+is bounded by memory, not by the interpreter's recursion limit.  A token's
+position in the text is only worked out when an error is reported.
 """
 
 from __future__ import annotations
@@ -41,215 +46,122 @@ from .formula import (
 )
 from .vectors import INF
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[<>{}(),;:|&!])"
-)
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[<>{}(),;:|&!]")
+# every character no token can start with; the first one is the error
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_<>{}(),;:|&!]")
 
 _RESERVED = {"true", "false", "inf", "X", "G", "U"}
+_PUNCT = set("<>{}(),;:|&!")
+_IDENT_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# a token that starts with none of these (or "", the end) is a natural
+_NOT_NAT = _IDENT_START | _PUNCT | {""}
+
+# pending entries of the operator stack
+_NOT, _NEXT, _ALWAYS, _AND, _OR, _PAREN, _HOLD, _GOAL = range(8)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+class _Tokens:
+    """The token list of one text, with a cursor; the end is the empty
+    string, which equals no expected token."""
 
-
-class _Parser:
-    def __init__(self, text: str, endowments: bool):
+    def __init__(self, text: str):
+        bad = _BAD_RE.search(text)
+        if bad is not None:
+            raise FormulaError(f"unexpected character {bad.group()!r}",
+                               bad.start())
         self.text = text
-        self.tokens = _tokenize(text)
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append("")
         self.i = 0
-        self.endowments = endowments
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message):
-        _, value, pos = self.peek()
-        raise FormulaError(message, pos)
+    def error(self, message, i=None):
+        """A FormulaError at token i, the current one by default."""
+        i = self.i if i is None else i
+        if i < len(self.toks) - 1:
+            pos = next(m.start() for k, m in
+                       enumerate(_TOKEN_RE.finditer(self.text)) if k == i)
+        else:
+            pos = len(self.text)
+        return FormulaError(message, pos)
 
     def expect(self, value):
-        kind, val, pos = self.peek()
-        if val != value or kind == "eof":
-            self.error(f"expected {value!r}")
-        return self.next()
-
-    def at(self, value):
-        kind, val, _ = self.peek()
-        return kind != "eof" and val == value
-
-    def ident(self, what="identifier"):
-        kind, val, pos = self.peek()
-        if kind != "ident" or val in _RESERVED:
-            self.error(f"expected {what}")
-        return self.next()[1]
+        if self.toks[self.i] != value:
+            raise self.error(f"expected {value!r}")
+        self.i += 1
 
     def agent_name(self):
         # agents may carry bare numeric names (e.g. reduced game models)
-        kind, val, _ = self.peek()
-        if kind == "nat":
-            return self.next()[1]
-        return self.ident("agent name")
-
-    # -- entry ---------------------------------------------------------
-
-    def parse(self) -> Formula:
-        f = self.or_expr()
-        if self.peek()[0] != "eof":
-            self.error("trailing input after formula")
-        return f
-
-    def or_expr(self) -> Formula:
-        f = self.and_expr()
-        while self.at("|"):
-            self.next()
-            f = Or(f, self.and_expr())
-        return f
-
-    def and_expr(self) -> Formula:
-        f = self.unary()
-        while self.at("&"):
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        if self.at("!"):
-            self.next()
-            return Not(self.unary())
-        if self.at("<"):
-            return self.modality()
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "(":
-            self.next()
-            f = self.or_expr()
-            self.expect(")")
-            return f
-        if kind == "ident":
-            if val == "true":
-                self.next()
-                return TRUE
-            if val == "false":
-                self.next()
-                return FALSE
-            if val in _RESERVED:
-                self.error("expected a proposition")
-            self.next()
-            return Prop(val)
-        self.error("expected a formula")
-
-    # -- modalities ----------------------------------------------------
-
-    def bound_component(self):
-        kind, val, pos = self.peek()
-        if kind == "nat":
-            self.next()
-            return int(val)
-        if kind == "ident" and val == "inf":
-            self.next()
-            return INF
-        self.error("expected a natural number or 'inf'")
+        tok = self.toks[self.i]
+        is_nat = tok[:1] not in _NOT_NAT
+        if not is_nat and (tok[:1] not in _IDENT_START or tok in _RESERVED):
+            raise self.error("expected agent name")
+        self.i += 1
+        return tok
 
     def bound_vec(self) -> tuple:
-        comps = [self.bound_component()]
-        while self.at(","):
-            self.next()
-            comps.append(self.bound_component())
-        return tuple(comps)
-
-    def modality(self) -> Formula:
-        self.expect("<")
-        self.expect("{")
-        coalition, bound = self.coalition_and_bound()
-        self.expect(">")
-        return self.tail(coalition, bound)
-
-    def coalition_and_bound(self):
-        if self.at("}"):  # empty coalition, plain form only
-            self.next()
-            self.expect(":")
-            return (), self.bound_vec()
-        first = self.agent_name()
-        if self.at(":"):
-            return self.endowment_rows(first)
-        agents = [first]
-        while self.at(","):
-            self.next()
-            agents.append(self.agent_name())
-        if self.at(";") or self.at(":"):
-            if self.endowments:
-                raise FormulaError(
-                    f"no endowment row for agent {first!r}", self.peek()[2]
-                )
-            self.error("expected ',' or '}' in coalition")
-        self.expect("}")
-        self.expect(":")
-        return tuple(agents), self.bound_vec()
-
-    def endowment_rows(self, first_agent):
-        if not self.endowments:
-            raise FormulaError(
-                "endowment syntax not allowed here (use the translator)",
-                self.peek()[2],
-            )
-        rows = {}
-        agent = first_agent
+        toks = self.toks
+        comps = []
         while True:
-            self.expect(":")
-            if agent in rows:
-                raise FormulaError(f"duplicate endowment row for agent {agent!r}")
-            rows[agent] = self.bound_vec()
-            if self.at(";"):
-                self.next()
-                agent = self.agent_name()
-                if not self.at(":"):
-                    raise FormulaError(
-                        f"no endowment row for agent {agent!r}", self.peek()[2]
-                    )
-                continue
-            break
-        self.expect("}")
-        lengths = {len(v) for v in rows.values()}
-        if len(lengths) > 1:
-            raise FormulaError("endowment rows have differing lengths")
-        r = lengths.pop()
-        bound = tuple(
-            sum((row[i] for row in rows.values()), 0) for i in range(r)
-        )
-        return tuple(rows), bound
+            tok = toks[self.i]
+            if tok == "inf":
+                comps.append(INF)
+            elif tok[:1] not in _NOT_NAT:
+                comps.append(int(tok))
+            else:
+                raise self.error("expected a natural number or 'inf'")
+            self.i += 1
+            if toks[self.i] != ",":
+                return tuple(comps)
+            self.i += 1
 
-    def tail(self, coalition, bound) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "X":
-            self.next()
-            return CoalitionNext(coalition, bound, self.unary())
-        if val == "G":
-            self.next()
-            return CoalitionAlways(coalition, bound, self.unary())
-        if val == "(":
-            self.next()
-            hold = self.or_expr()
-            self.expect("U")
-            goal = self.or_expr()
-            self.expect(")")
-            return CoalitionUntil(coalition, bound, hold, goal)
-        self.error("expected 'X', 'G' or a parenthesised until body")
+
+def _coalition_and_bound(t: _Tokens, endowments: bool):
+    """The coalition and bound of a modality, from just after its '{'."""
+    if t.toks[t.i] == "}":  # empty coalition, plain form only
+        t.i += 1
+        t.expect(":")
+        return (), t.bound_vec()
+    first = t.agent_name()
+    if t.toks[t.i] == ":":
+        return _endowment_rows(t, endowments, first)
+    agents = [first]
+    while t.toks[t.i] == ",":
+        t.i += 1
+        agents.append(t.agent_name())
+    if t.toks[t.i] in (";", ":"):
+        if endowments:
+            raise t.error(f"no endowment row for agent {first!r}")
+        raise t.error("expected ',' or '}' in coalition")
+    t.expect("}")
+    t.expect(":")
+    return tuple(agents), t.bound_vec()
+
+
+def _endowment_rows(t: _Tokens, endowments: bool, first_agent):
+    if not endowments:
+        raise t.error("endowment syntax not allowed here (use the translator)")
+    rows = {}
+    agent = first_agent
+    while True:
+        t.expect(":")
+        if agent in rows:
+            raise FormulaError(f"duplicate endowment row for agent {agent!r}")
+        rows[agent] = t.bound_vec()
+        if t.toks[t.i] != ";":
+            break
+        t.i += 1
+        agent = t.agent_name()
+        if t.toks[t.i] != ":":
+            raise t.error(f"no endowment row for agent {agent!r}")
+    t.expect("}")
+    lengths = {len(v) for v in rows.values()}
+    if len(lengths) > 1:
+        raise FormulaError("endowment rows have differing lengths")
+    r = lengths.pop()
+    bound = tuple(
+        sum((row[i] for row in rows.values()), 0) for i in range(r)
+    )
+    return tuple(rows), bound
 
 
 def parse_formula(text: str, *, endowments: bool = False) -> Formula:
@@ -258,7 +170,96 @@ def parse_formula(text: str, *, endowments: bool = False) -> Formula:
     With endowments=True the per-agent endowment form is also accepted and
     every annotation is replaced by the per-resource sum of its rows.
     """
-    return _Parser(text, endowments).parse()
+    t = _Tokens(text)
+    toks = t.toks
+    stack: list = []  # pending operators and open brackets, innermost last
+    push = stack.append
+    i = 0
+    while True:
+        # a unary: prefix operators and brackets, then an atom
+        while True:
+            tok = toks[i]
+            if tok == "!":
+                push((_NOT,))
+                i += 1
+            elif tok == "(":
+                push((_PAREN,))
+                i += 1
+            elif tok == "<":
+                t.i = i + 1
+                t.expect("{")
+                coalition, bound = _coalition_and_bound(t, endowments)
+                t.expect(">")
+                i = t.i
+                tok = toks[i]
+                if tok == "X":
+                    push((_NEXT, coalition, bound))
+                elif tok == "G":
+                    push((_ALWAYS, coalition, bound))
+                elif tok == "(":
+                    push((_HOLD, coalition, bound))
+                else:
+                    raise t.error("expected 'X', 'G' or a parenthesised "
+                                  "until body", i)
+                i += 1
+            elif tok == "true":
+                f = TRUE
+                break
+            elif tok == "false":
+                f = FALSE
+                break
+            elif tok[:1] in _IDENT_START:
+                if tok in _RESERVED:
+                    raise t.error("expected a proposition", i)
+                f = Prop(tok)
+                break
+            else:
+                raise t.error("expected a formula", i)
+        i += 1
+        # close what f completes, up to an operator or bracket that needs more
+        while True:
+            while stack:
+                top = stack[-1]
+                kind = top[0]
+                if kind == _NOT:
+                    f = Not(f)
+                elif kind == _NEXT:
+                    f = CoalitionNext(top[1], top[2], f)
+                elif kind == _ALWAYS:
+                    f = CoalitionAlways(top[1], top[2], f)
+                else:
+                    break
+                stack.pop()
+            if stack and stack[-1][0] == _AND:
+                f = And(stack.pop()[1], f)
+            tok = toks[i]
+            if tok == "&":
+                push((_AND, f))
+                break
+            if stack and stack[-1][0] == _OR:
+                f = Or(stack.pop()[1], f)
+            if tok == "|":
+                push((_OR, f))
+                break
+            # an or_expr ends here
+            if not stack:
+                if tok:
+                    raise t.error("trailing input after formula", i)
+                return f
+            top = stack.pop()
+            kind = top[0]
+            if kind == _HOLD:
+                if tok != "U":
+                    raise t.error("expected 'U'", i)
+                push((_GOAL, top[1], top[2], f))
+                break
+            if tok != ")":
+                raise t.error("expected ')'", i)
+            i += 1
+            if kind == _GOAL:
+                f = CoalitionUntil(top[1], top[2], top[3], f)
+            # f is a finished unary now, as an atom or an until
+        i += 1
 
 
 def translate_endowments(text: str) -> Formula:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -24,6 +25,7 @@ from rbatl import (
     translate_endowments,
     with_bound,
 )
+import rbatl.formula
 from rbatl.formula import children, is_modal
 from rbatl.vectors import all_inf, is_all_inf
 
@@ -241,3 +243,41 @@ def test_format_formula_prints_any_depth():
     for _ in range(5000):
         f = Not(f)
     assert format_formula(f) == "!" * 5000 + "p"
+
+
+def test_deep_formula_hashes_compares_and_formats():
+    def build():
+        f = Prop("p")
+        for _ in range(100000):
+            f = Not(f)
+        return f
+
+    f, g = build(), build()
+    assert f is g and f == g and hash(f) == hash(g)
+    assert {f: 1}[g] == 1
+    assert format_formula(f) == repr(f) == "!" * 100000 + "p"
+    assert copy.deepcopy(f) is f and copy.copy(f) is f
+    del f, g  # freeing a deep chain must not overflow either
+
+
+def test_equal_formulas_are_one_node():
+    text = "<{b,a}: 2,inf> (p U !q) & <{}: 0,1> G (p | true)"
+    f = parse_formula(text)
+    assert parse_formula(text) is f
+    assert parse_formula(format_formula(f)) is f
+    assert CoalitionNext(["a", "a"], [1], TRUE) is CoalitionNext(("a",), (1,), TRUE)
+    with pytest.raises(AttributeError):
+        f.left = TRUE
+    with pytest.raises(AttributeError):
+        del f.left
+
+
+def test_all_inf_variant_is_already_in_the_closure():
+    f = parse_formula("<{a}: 1,2> X <{b}: 0,inf> (p U <{}: 3,3> G q)")
+    order = sub_ordered(f)
+    nodes = len(rbatl.formula._table)
+    for g in order:
+        if is_modal(g):
+            top = with_bound(g, all_inf(len(g.bound)))
+            assert any(h is top for h in order)
+    assert len(rbatl.formula._table) == nodes  # every lookup was a hit

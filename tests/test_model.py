@@ -160,9 +160,9 @@ def test_total_models_never_have_empty_outcomes():
 
 def test_validation_runs_once_per_model(fig1, monkeypatch):
     runs = []
-    check = rbatl.model._violations
-    monkeypatch.setattr(rbatl.model, "_violations",
-                        lambda m: runs.append(m) or check(m))
+    build = rbatl.model._fill
+    monkeypatch.setattr(rbatl.model, "_fill",
+                        lambda m, *args, **kw: runs.append(m) or build(m, *args, **kw))
     broken = Model(agents=fig1.agents, resources=fig1.resources,
                    states=fig1.states, labels=fig1.labels,
                    actions={**fig1.actions, "s": {"a1": {}, "a2": {}}},
