@@ -256,7 +256,7 @@ class _Credits:
         node, the move of the earliest-inserted credit below its
         availability.  No credit before the first prefix minimum below
         the availability can fit, so the scan starts there."""
-        root = WitnessNode(state, avail, avail)
+        root = WitnessNode(state, avail)
         stack = [root]
         while stack:
             node = stack.pop()
@@ -274,7 +274,7 @@ class _Credits:
             if after is None:
                 raise EngineError("availability underflow past the credit")
             for o in mv[3]:
-                child = node.children[o] = WitnessNode(o, after, after)
+                child = node.children[o] = WitnessNode(o, after)
                 stack.append(child)
         return root
 
@@ -326,8 +326,7 @@ class _Search:
             if vec_leq(anc.avail, node.avail):
                 wn = None
                 if self.collect:
-                    wn = WitnessNode(s, node.avail, node.avail, LOOPBACK_LEAF,
-                                     loopback=i)
+                    wn = WitnessNode(s, node.avail, LOOPBACK_LEAF, loopback=i)
                 return True, wn
         child_path = node.path + (node,)
         for actions, cost, _, outs in self.arena.moves(s, node.avail):
@@ -345,7 +344,7 @@ class _Search:
             if ok:
                 wn = None
                 if self.collect:
-                    wn = WitnessNode(s, node.avail, node.avail, INTERNAL,
+                    wn = WitnessNode(s, node.avail, INTERNAL,
                                      JointAction(self.arena.agents, actions),
                                      kids)
                 return True, wn
@@ -492,7 +491,7 @@ def find_witness(m: Model, f: Formula, state: str,
     """Build the certificate of the query at state; None when it fails.
 
     Until certificates are concrete: every node carries a finite
-    availability on the bound's finite components and no pumping record.
+    availability on the bound's finite components.
     """
     if not isinstance(f, (CoalitionUntil, CoalitionAlways)):
         raise EngineError("witnesses exist for until/always modalities only")

@@ -262,18 +262,21 @@ def _fill(m: Model, agents, resources, states, labels, actions, transitions,
             if not (isinstance(rec, dict) and "state" in rec
                     and "action" in rec and "next" in rec):
                 raise ModelError("each transition needs state, action, next")
-            combo = rec["action"]
+            s, combo, target = rec["state"], rec["action"], rec["next"]
+            if not isinstance(s, str):
+                raise ModelError(f"transition state {s!r} must be a string")
             if not _strings(combo):
-                raise ModelError(f"transition action at {rec['state']!r} "
+                raise ModelError(f"transition action at {s!r} "
                                  "must be a list of action names")
-            s = rec["state"]
+            if not isinstance(target, str):
+                raise ModelError(f"transition next at {s!r} must be a string")
             moves = m.transitions.get(s)
             if moves is None:
                 moves = m.transitions[s] = {}
             key = tuple(combo)
             if key in moves:
                 raise ModelError(f"duplicate transition at {s!r} for {key!r}")
-            moves[key] = rec["next"]
+            moves[key] = target
         _require(isinstance(total, bool), "total must be a boolean")
     else:
         m.transitions = {s: {tuple(ja): target for ja, target in moves.items()}

@@ -54,7 +54,7 @@ def model_from_dict(data) -> Model:
     _require(isinstance(data, dict), "model file must be a JSON object")
     version = data.get("format_version")
     _require(
-        version == FORMAT_VERSION,
+        type(version) is int and version == FORMAT_VERSION,
         f"unsupported model format_version {version!r} (expected {FORMAT_VERSION})",
     )
     for key in _FIELDS:

@@ -188,7 +188,7 @@ def net_from_dict(data) -> PetriNet:
     if not isinstance(data, dict):
         raise PetriError("net file must be a JSON object")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise PetriError(f"unsupported net format_version {version!r}")
     places = data.get("places")
     transitions = data.get("transitions")

@@ -1,11 +1,15 @@
 """Strategy certificates: structure, JSON form and validation.
 
 An until certificate is a finite strategy tree: each internal node names
-the coalition's joint action and has one child per outcome, with the
-availability left after paying the move, down to goal leaves.  The
-minimal-credit engine of `checker` writes them concrete, so they replay
-as they are.  Format v1 also carries pumping records and all-infinity
-leaves, which the loader still reads and validation rejects.
+the coalition's joint action and has one child per outcome, down to goal
+leaves.  Each node carries one availability, what is left on reaching
+it: the bound at the root, and below it the parent's availability less
+the cost of the parent's move.
+
+Format v1 writes that availability twice, as `entry_avail` and `avail`,
+beside an empty `pumped` object.  Older versions also wrote pumping
+records and all-infinity leaves, which are not replayed: the loader
+refuses them, and any entry availability other than the availability.
 
 Box certificates end in loopback leaves, validated against their ancestor
 on the path.
@@ -27,19 +31,17 @@ FORMAT_VERSION = 1
 
 INTERNAL = "internal"
 PSI_LEAF = "psi-leaf"
-ALL_INF_LEAF = "all-infinity-leaf"
 LOOPBACK_LEAF = "loopback-leaf"
+_KINDS = (INTERNAL, PSI_LEAF, LOOPBACK_LEAF)
 
 
 @dataclass
 class WitnessNode:
     state: str
-    entry_avail: Vec
     avail: Vec
     kind: str = INTERNAL
     action: JointAction | None = None
     children: dict[str, "WitnessNode"] = field(default_factory=dict)
-    pumped: dict[int, int] = field(default_factory=dict)
     loopback: int | None = None
 
 
@@ -96,17 +98,18 @@ def _vec_from_json(v):
 
 def _node_fields(node: WitnessNode) -> dict:
     """A node's object with its children still to be filled in."""
+    avail = _vec_to_json(node.avail)
     data = {
         "state": node.state,
-        "entry_avail": _vec_to_json(node.entry_avail),
-        "avail": _vec_to_json(node.avail),
+        "entry_avail": avail[:],
+        "avail": avail,
         "kind": node.kind,
         "action": None if node.action is None else {
             "agents": list(node.action.agents),
             "actions": list(node.action.actions),
         },
         "children": {},
-        "pumped": {str(res): depth for res, depth in node.pumped.items()},
+        "pumped": {},
     }
     if node.loopback is not None:
         data["loopback"] = node.loopback
@@ -133,8 +136,19 @@ def _node_fields_from_dict(data) -> WitnessNode:
                 "pumped"):
         if key not in data:
             raise WitnessError(f"witness node missing {key!r}")
-    if not isinstance(data["state"], str):
-        raise WitnessError(f"bad witness state {data['state']!r}")
+    state = data["state"]
+    if not isinstance(state, str):
+        raise WitnessError(f"bad witness state {state!r}")
+    avail = _vec_from_json(data["avail"])
+    if _vec_from_json(data["entry_avail"]) != avail:
+        raise WitnessError(f"witness node at {state!r} has an entry "
+                           "availability other than its availability")
+    if data["pumped"] != {}:
+        raise WitnessError(f"witness node at {state!r} has pumping records "
+                           f"{data['pumped']!r}, which are not replayed")
+    if data["kind"] not in _KINDS:
+        raise WitnessError(f"witness node at {state!r} has unknown kind "
+                           f"{data['kind']!r}")
     action = data["action"]
     if action is not None:
         if not isinstance(action, dict):
@@ -143,27 +157,10 @@ def _node_fields_from_dict(data) -> WitnessNode:
                              _names(action.get("actions"), "action actions"))
     if not isinstance(data["children"], dict):
         raise WitnessError("witness children must be an object")
-    pumped_in = data["pumped"]
-    if not isinstance(pumped_in, dict):
-        raise WitnessError("witness pumped must be an object")
-    pumped = {}
-    for res, depth in pumped_in.items():
-        try:
-            pumped[int(res)] = _int_from_json(depth, "pumping depth")
-        except (TypeError, ValueError) as exc:
-            raise WitnessError(f"bad pumping record {res!r}: {depth!r}") from exc
     loopback = data.get("loopback")
     if loopback is not None:
         loopback = _int_from_json(loopback, "loopback index")
-    return WitnessNode(
-        state=data["state"],
-        entry_avail=_vec_from_json(data["entry_avail"]),
-        avail=_vec_from_json(data["avail"]),
-        kind=data["kind"],
-        action=action,
-        pumped=pumped,
-        loopback=loopback,
-    )
+    return WitnessNode(state, avail, data["kind"], action, loopback=loopback)
 
 
 def _node_from_dict(data) -> WitnessNode:
@@ -195,7 +192,7 @@ def witness_from_dict(data) -> WitnessTree:
     if not isinstance(data, dict):
         raise WitnessError("witness file must be a JSON object")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise WitnessError(f"unsupported witness format_version {version!r}")
     kind = data.get("kind")
     if kind not in ("until", "box"):
@@ -220,28 +217,18 @@ _END = object()
 
 
 def _json_text(value) -> str:
-    """`json.dumps(value, indent=2)`, byte for byte, for the values of
-    `witness_to_dict`: dicts with str keys, lists, str, int and None.
-
-    The stdlib encoder with an indent passes every chunk up through one
-    generator per nesting level, and recurses once per level.  This walk
-    keeps the open containers on its own stack and appends each chunk
-    once, so its time is linear in the text and any depth can be written.
-    """
+    """`json.dumps(value, separators=(",", ":"))` for the values of
+    `witness_to_dict`, with the open containers on an explicit stack, so
+    any depth can be written."""
     scalar_text = _SCALAR_TEXT
     out = []
-    pads = ["\n"]  # newline and indentation per depth
     frames = []  # open containers: [items, is_dict, separator, close]
     while True:
         cls = value.__class__
         if cls is dict or cls is list:
-            depth = len(frames)
             if not value:
                 out.append("{}" if cls is dict else "[]")
             else:
-                if len(pads) == depth + 1:
-                    pads.append(pads[depth] + "  ")
-                pad = pads[depth + 1]
                 texts = None
                 if cls is list:
                     try:
@@ -249,14 +236,12 @@ def _json_text(value) -> str:
                     except KeyError:
                         pass
                 if texts is not None:
-                    out.append("[" + pad + ("," + pad).join(texts)
-                               + pads[depth] + "]")
+                    out.append("[" + ",".join(texts) + "]")
                 else:
                     is_dict = cls is dict
-                    out.append(("{" if is_dict else "[") + pad)
+                    out.append("{" if is_dict else "[")
                     frames.append([iter(value.items() if is_dict else value),
-                                   is_dict, "",
-                                   pads[depth] + ("}" if is_dict else "]")])
+                                   is_dict, "", "}" if is_dict else "]"])
         else:
             try:
                 out.append(scalar_text[cls](value))
@@ -270,15 +255,13 @@ def _json_text(value) -> str:
                 out.append(frame[3])
                 frames.pop()
                 continue
-            if frame[2]:
-                out.append(frame[2])
-            else:
-                frame[2] = "," + pads[len(frames)]
             if frame[1]:
                 key, value = item
-                out.append(_encode_str(key) + ": ")
+                out.append(frame[2] + _encode_str(key) + ":")
             else:
                 value = item
+                out.append(frame[2])
+            frame[2] = ","
             break
         else:
             return "".join(out)
@@ -304,8 +287,6 @@ def load_witness(path) -> WitnessTree:
     return witness_from_dict(data)
 
 
-
-
 # -- validation ----------------------------------------------------------
 
 
@@ -314,9 +295,8 @@ def validate_witness(m: Model, tree: WitnessTree, *, phi_states,
     """Replay a certificate against the model: availability bookkeeping,
     affordability per mode, exact outcome coverage and leaf conditions.
 
-    Until trees must be concrete (no pumping records, no all-INF leaves);
-    box trees are checked directly against their loopback structure.  The
-    walk keeps its own stack, so a tree of any depth can be checked.
+    Box trees are checked against their loopback structure.  The walk
+    keeps its own stack, so a tree of any depth can be checked.
     """
     if tree.kind == "until" and psi_states is None:
         raise WitnessError("until validation needs psi_states")
@@ -326,7 +306,7 @@ def validate_witness(m: Model, tree: WitnessTree, *, phi_states,
         return False
     if len(tree.bound) != m.r:
         return False
-    if tuple(tree.root.entry_avail) != tuple(tree.bound):
+    if tuple(tree.root.avail) != tuple(tree.bound):
         return False
     mode = tree.mode
     phi = frozenset(phi_states)
@@ -336,10 +316,6 @@ def validate_witness(m: Model, tree: WitnessTree, *, phi_states,
     while stack:
         node, depth = stack.pop()
         del path[depth:]
-        if node.pumped or node.kind == ALL_INF_LEAF:
-            return False
-        if tuple(node.entry_avail) != tuple(node.avail):
-            return False
         if node.state not in m._state_index:
             return False
         if tree.kind == "box" and node.state not in phi:
@@ -382,7 +358,7 @@ def validate_witness(m: Model, tree: WitnessTree, *, phi_states,
         for state, child in node.children.items():
             if child.state != state:
                 return False
-            if tuple(child.entry_avail) != child_avail:
+            if tuple(child.avail) != child_avail:
                 return False
             stack.append((child, depth + 1))
     return True
@@ -390,18 +366,8 @@ def validate_witness(m: Model, tree: WitnessTree, *, phi_states,
 
 def concretize_until_witness(m: Model, tree: WitnessTree, *, phi_states,
                              psi_states) -> WitnessTree:
-    """Return a concrete until certificate unchanged.
-
-    Certificates from `find_witness` are concrete.  A loaded one with a
-    pumping record or an all-INF leaf, which older versions wrote, is
-    rejected: its loops are not replayed here.
-    """
+    """Return an until certificate unchanged: every certificate is
+    concrete, since the loader refuses pumping records."""
     if tree.kind != "until":
         raise WitnessError("only until certificates are concretized")
-    for node in iter_nodes(tree.root):
-        if node.pumped or node.kind == ALL_INF_LEAF:
-            raise WitnessError(
-                f"certificate is not concrete at state {node.state!r}: "
-                "pumping records and all-infinity leaves are not replayed"
-            )
     return tree

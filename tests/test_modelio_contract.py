@@ -40,6 +40,8 @@ MALFORMED = [
      "unsupported model format_version None (expected 1)"),
     ("version wrong", [(("format_version",), 2)],
      "unsupported model format_version 2 (expected 1)"),
+    ("version true", [(("format_version",), True)],
+     "unsupported model format_version True (expected 1)"),
     ("agents missing", [(("agents",), DELETE)], "model file missing 'agents'"),
     ("total missing", [(("total",), DELETE)], "model file missing 'total'"),
     ("agents not a list", [(("agents",), "a")],
@@ -82,6 +84,12 @@ MALFORMED = [
     ("transition action not strings",
      [(("transitions", 1, "action"), ["go", 0])],
      "transition action at 's' must be a list of action names"),
+    ("transition state a list", [(("transitions", 1, "state"), ["s"])],
+     "transition state ['s'] must be a string"),
+    ("transition next a list", [(("transitions", 1, "next"), ["s"])],
+     "transition next at 's' must be a string"),
+    ("transition next a number", [(("transitions", 1, "next"), 5)],
+     "transition next at 's' must be a string"),
     ("duplicate transition",
      [(("transitions", 2), {**S_GO, "next": "s"})],
      "duplicate transition at 's' for ('go', 'idle')"),

@@ -118,9 +118,11 @@ def test_net_serialization_round_trip(doubling):
     assert "arcs" in dump_net(doubling)
 
 
-def test_net_from_dict_errors():
+def test_net_from_dict_errors(doubling):
     with pytest.raises(PetriError):
         net_from_dict({"format_version": 99})
+    with pytest.raises(PetriError, match="format_version True"):
+        net_from_dict(dict(net_to_dict(doubling), format_version=True))
     with pytest.raises(PetriError):
         net_from_dict({
             "format_version": 1, "places": ["p"], "transitions": ["p"],

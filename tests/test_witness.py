@@ -22,7 +22,6 @@ from rbatl import (
 )
 from rbatl.model import JointAction
 from rbatl.witness import (
-    ALL_INF_LEAF,
     INTERNAL,
     LOOPBACK_LEAF,
     PSI_LEAF,
@@ -45,8 +44,7 @@ def test_no_infinity_witness_returned_unchanged(fig1):
     f, labels, tree = until_setup(fig1, "<{a1}: 3,1> (true U p)", "s_I")
     phi, psi = labels[f.hold], labels[f.goal]
     assert tree is not None
-    assert all(not n.pumped and n.kind != ALL_INF_LEAF
-               for n in iter_nodes(tree.root))
+    assert {n.kind for n in iter_nodes(tree.root)} == {INTERNAL, PSI_LEAF}
     assert concretize_until_witness(fig1, tree, phi_states=phi,
                                     psi_states=psi) is tree
     assert validate_witness(fig1, tree, phi_states=phi, psi_states=psi)
@@ -81,18 +79,29 @@ def test_deep_certificates_build_and_validate(fig1):
         back = witness_from_dict(witness_to_dict(tree))
         assert _flat(back.root) == _flat(tree.root)
         text = dump_witness(tree)
-        assert text.startswith('{\n  "format_version": 1,\n')
-        assert text.endswith("\n}\n")
+        assert text.startswith('{"format_version":1,"kind":"until",')
+        assert text.endswith('"pumped":{}}}\n')
 
 
 def assert_stdlib_bytes(tree):
-    """dump_witness writes what json.dumps(..., indent=2) writes."""
-    want = json.dumps(witness_to_dict(tree), indent=2) + "\n"
+    """dump_witness writes what the stdlib's compact json.dumps writes."""
+    want = json.dumps(witness_to_dict(tree), separators=(",", ":")) + "\n"
     assert dump_witness(tree) == want
     return want
 
 
-@pytest.mark.parametrize("gamma, size", [(25, None), (200, 8_052_492)])
+def test_certificate_text_grows_linearly_with_depth(fig1):
+    # fig1's certificate is about 2 * gamma nodes deep; text indented by
+    # depth would grow with its square (24.9 times from 200 to 1000)
+    sizes = {}
+    for gamma in (200, 1000):
+        m = modelgen.fig1_with_gamma(fig1, gamma)
+        _, _, tree = until_setup(m, "<{a1,a2}: 0,1> (true U p)", "s_I")
+        sizes[gamma] = len(dump_witness(tree))
+    assert sizes[1000] < 6 * sizes[200]
+
+
+@pytest.mark.parametrize("gamma, size", [(25, None), (200, 63_300)])
 def test_fig1_dump_matches_the_stdlib_encoder(fig1, gamma, size):
     m = modelgen.fig1_with_gamma(fig1, gamma)
     _, _, tree = until_setup(m, "<{a1,a2}: 0,1> (true U p)", "s_I")
@@ -103,8 +112,7 @@ def test_fig1_dump_matches_the_stdlib_encoder(fig1, gamma, size):
 def test_hand_built_dumps_match_the_stdlib_encoder():
     def node(state, avail, kind=INTERNAL, action=None, children=(),
              **extra):
-        return WitnessNode(state=state, entry_avail=avail, avail=avail,
-                           kind=kind, action=action,
+        return WitnessNode(state=state, avail=avail, kind=kind, action=action,
                            children={c.state: c for c in children}, **extra)
 
     odd = 'say "hi"\\ é ∞ \n'  # quotes, backslash, non-ASCII, control
@@ -112,8 +120,7 @@ def test_hand_built_dumps_match_the_stdlib_encoder():
     loop = node("u", (1, INF), action=go, children=[
         node("v", (0, INF), kind=LOOPBACK_LEAF, loopback=0),
         node(odd, (INF, 0), action=JointAction(("a",), ("ü",)), children=[
-            node("w", (INF, INF), kind=ALL_INF_LEAF)],
-            pumped={0: 2, 1: 0})])
+            node("w", (INF, INF), kind=PSI_LEAF)])])
     trees = [
         WitnessTree("box", ("a",), (1, INF), Semantics.NT, "<{a}: 1,inf> G q",
                     loop),
@@ -128,8 +135,8 @@ def test_hand_built_dumps_match_the_stdlib_encoder():
 
 def _flat(root):
     # node by node, since == on the dataclasses recurses once per level
-    return [(n.state, n.entry_avail, n.avail, n.kind, n.action, n.pumped,
-             n.loopback, list(n.children)) for n in iter_nodes(root)]
+    return [(n.state, n.avail, n.kind, n.action, n.loopback,
+             list(n.children)) for n in iter_nodes(root)]
 
 
 def _depths(root):
@@ -265,15 +272,18 @@ def test_loader_rejects_non_integer_indices(fig1):
         with pytest.raises(WitnessError):
             witness_from_dict(box)
 
-    # format v1 pumping records, as older versions wrote them
+    # a format version that only compares equal to 1
+    for bad in (True, 1.0):
+        with pytest.raises(WitnessError):
+            witness_from_dict(dict(box, format_version=bad))
+
+    # format v1 pumping records, as older versions wrote them, are refused
     _, _, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
     until = witness_to_dict(tree)
     below = until["root"]["children"]["s"]
-    below["pumped"] = {"0": 0}
-    assert witness_from_dict(until).root.children["s"].pumped == {0: 0}
-    for bad in (0.9, True):
+    for bad in (0, 0.9, True):
         below["pumped"] = {"0": bad}
-        with pytest.raises(WitnessError):
+        with pytest.raises(WitnessError, match="'s'"):
             witness_from_dict(until)
 
 
@@ -383,21 +393,18 @@ def test_random_corpus_witness_integrity():
     assert checked >= 30
 
 
-def test_concretize_rejects_pumping_outside_the_resources(fig1):
-    f, labels, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
+def test_loader_rejects_pumping_records_and_legacy_leaves(fig1):
+    _, _, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
     # pumping records of older versions, in and out of the resource range,
-    # and an all-infinity leaf, are refused rather than replayed
-    for res in ("7", "0"):
+    # an all-infinity leaf and an entry availability above the availability
+    # are refused rather than replayed
+    mutants = [lambda below: below.update(pumped={"7": 0}),
+               lambda below: below.update(pumped={"0": 0}),
+               lambda below: below.update(kind="all-infinity-leaf",
+                                          action=None, children={}),
+               lambda below: below["entry_avail"].__setitem__(0, 9)]
+    for mutate in mutants:
         data = witness_to_dict(tree)
-        data["root"]["children"]["s"]["pumped"] = {res: 0}
-        with pytest.raises(WitnessError):
-            concretize_until_witness(fig1, witness_from_dict(data),
-                                     phi_states=labels[f.hold],
-                                     psi_states=labels[f.goal])
-    data = witness_to_dict(tree)
-    data["root"]["children"]["s"].update(kind=ALL_INF_LEAF, action=None,
-                                         children={})
-    with pytest.raises(WitnessError):
-        concretize_until_witness(fig1, witness_from_dict(data),
-                                 phi_states=labels[f.hold],
-                                 psi_states=labels[f.goal])
+        mutate(data["root"]["children"]["s"])
+        with pytest.raises(WitnessError, match="'s'"):
+            witness_from_dict(data)
