@@ -1,8 +1,8 @@
 """Model checking for alternating-time logic with resource production and
 consumption: minimal credits for until and always, bounded or not,
-budget-aware strategy search for the rest of bounded always,
-a consumption-only bound ladder, strategy certificates, and a Petri-net
-coverability bridge for differential testing.
+budget-aware strategy search for the rest of bounded always, a
+consumption-only check on the same credits, strategy certificates, and a
+Petri-net coverability bridge for differential testing.
 """
 
 from .atl import Semantics, consumption_joint, pre
@@ -59,8 +59,8 @@ from .petri import (
     net_to_dict,
     reduce_to_model,
 )
-from .symbolic import is_consumption_only, rb_atl_label, split
-from .vectors import INF, bound_minus_cost, vec_leq
+from .symbolic import is_consumption_only, rb_atl_label
+from .vectors import INF, bound_minus_cost, split, vec_leq
 from .witness import (
     WitnessNode,
     WitnessTree,

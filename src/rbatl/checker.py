@@ -28,7 +28,8 @@ and-or search whose nodes carry the remaining availability.  Its check
 order is frozen: guard, strict-loss-false, loopback-true, moves.
 
 `label_all` is the one labelling loop, of `model_check` and of the
-consumption-only bound ladder of `rbatl.symbolic`.
+consumption-only check of `rbatl.symbolic`; given `sub_plus`, it labels
+the paper's bound ladder on the same credits.
 """
 
 from __future__ import annotations
@@ -406,8 +407,8 @@ def label_all(m: Model, order, mode: Semantics, stats
     Untils and always that differ only in their finite bound values share
     one set of minimal credits, and each reads its label off them.  An
     always's credits are capped at the componentwise largest of those
-    bounds in `order`.  Equal labels are kept as one object, since a bound
-    ladder repeats them many times.
+    bounds in `order`.  Equal labels are kept as one object, since the
+    variants of one modality often share them.
     """
     arenas = Arenas(m, mode)
     labels: dict[Formula, frozenset[str]] = {}

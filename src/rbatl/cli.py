@@ -216,7 +216,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        choices=["rbatl", "nt", "ral-finite"])
     check.add_argument("--engine", default="tree", choices=["tree", "symbolic"],
                        help="symbolic: consumption-only models under rbatl; "
-                       "the same labels, plus the bound ladder's variants")
+                       "refuses a producing model, else the same labels")
     check.add_argument("--witness", metavar="OUT",
                        help="write a strategy certificate for the query")
     check.add_argument("--oracle", metavar="depth=N",
@@ -226,7 +226,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true",
                        help="machine-readable output")
     check.add_argument("--all-labels", action="store_true",
-                       help="also print the full labelling map")
+                       help="also print the label of every subformula and of "
+                       "each bounded modality's unbounded variant")
 
     petri = sub.add_parser(
         "petri", help="reduce a net coverability question to a check query"

@@ -202,9 +202,12 @@ def net_from_dict(data) -> PetriNet:
             or any(not isinstance(x, int) or isinstance(x, bool) or x < 0
                    for x in marking)):
         raise PetriError("marking must be a list of naturals")
+    arcs = data.get("arcs", [])
+    if not isinstance(arcs, list):
+        raise PetriError("arcs must be a list")
     arcs_in: dict = {}
     arcs_out: dict = {}
-    for arc in data.get("arcs", []):
+    for arc in arcs:
         if not isinstance(arc, dict) or {"from", "to", "weight"} - set(arc):
             raise PetriError("each arc needs from, to, weight")
         src, dst, w = arc["from"], arc["to"], arc["weight"]

@@ -153,8 +153,13 @@ def _node_fields_from_dict(data) -> WitnessNode:
     if action is not None:
         if not isinstance(action, dict):
             raise WitnessError("witness action must carry agents and actions")
-        action = JointAction(_names(action.get("agents"), "action agents"),
-                             _names(action.get("actions"), "action actions"))
+        agents = _names(action.get("agents"), "action agents")
+        actions = _names(action.get("actions"), "action actions")
+        if len(agents) != len(actions):
+            raise WitnessError(f"witness action at {state!r} names "
+                               f"{len(agents)} agents and {len(actions)} "
+                               "actions")
+        action = JointAction(agents, actions)
     if not isinstance(data["children"], dict):
         raise WitnessError("witness children must be an object")
     loopback = data.get("loopback")
@@ -200,12 +205,19 @@ def witness_from_dict(data) -> WitnessTree:
     mode = data.get("mode")
     if mode not in [member.value for member in Semantics]:
         raise WitnessError(f"unknown witness mode {mode!r}")
+    for key in ("coalition", "bound"):
+        if key not in data:
+            raise WitnessError(f"witness missing {key!r}")
+    formula = data.get("formula", "")
+    if not isinstance(formula, str):
+        raise WitnessError("witness formula must be a string, got "
+                           f"{formula!r}")
     return WitnessTree(
         kind=kind,
-        coalition=_names(data.get("coalition", []), "coalition"),
-        bound=_vec_from_json(data.get("bound", [])),
+        coalition=_names(data["coalition"], "coalition"),
+        bound=_vec_from_json(data["bound"]),
         mode=Semantics(mode),
-        formula=data.get("formula", ""),
+        formula=formula,
         root=_node_from_dict(data.get("root")),
     )
 

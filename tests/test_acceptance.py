@@ -25,8 +25,8 @@ from rbatl import (
     validate_witness,
     with_bound,
 )
-from rbatl.checker import SearchStats, node0
-from rbatl.formula import CoalitionAlways, CoalitionUntil, sub_ordered
+from rbatl.checker import SearchStats, label_all, node0
+from rbatl.formula import CoalitionAlways, CoalitionUntil, sub_ordered, sub_plus
 from rbatl.vectors import all_inf
 
 import modelgen
@@ -91,12 +91,16 @@ def test_criterion_3_engine_equivalence():
         f = modelgen.random_formula(rng, m, modal_depth=2, max_bound=3)
         tree_labels = _timed(model_check, m, f)
         sym_labels = _timed(rb_atl_label, m, f)
+        # every variant of the paper's bound ladder, on the same credits
+        ladder_labels = _timed(label_all, m, sub_plus(f), Semantics.RBATL,
+                               SearchStats())
         # both engines read credits; the split ladder shares no code with them
-        ladder = {**ladder_until(m, f, sym_labels, Semantics.RBATL),
-                  **ladder_always(m, f, sym_labels, Semantics.RBATL)}
+        ladder = {**ladder_until(m, f, ladder_labels, Semantics.RBATL),
+                  **ladder_always(m, f, ladder_labels, Semantics.RBATL)}
         total += 1
-        agree += (all(tree_labels[g] == sym_labels[g] for g in sub_ordered(f))
-                  and all(sym_labels[g] == x for g, x in ladder.items()))
+        agree += (all(tree_labels[g] == sym_labels[g] == ladder_labels[g]
+                      for g in sub_ordered(f))
+                  and all(ladder_labels[g] == x for g, x in ladder.items()))
     _verdict(3, f"engine equivalence {agree}/{total}", agree == total)
 
 

@@ -277,16 +277,23 @@ def test_formula_file_not_utf8_exits_two(fig1_path, tmp_path, capsys,
     assert "error: formula file" in err and "Traceback" not in err
 
 
-def test_check_symbolic_all_labels_lists_the_ladder(chain, tmp_path, capsys):
+def test_check_symbolic_all_labels_lists_the_general_keys(chain, tmp_path,
+                                                          capsys):
+    # the symbolic engine labels what the tree engine labels: the
+    # subformulas and the unbounded guard, not the bound ladder
     path = tmp_path / "chain.json"
     path.write_text(dump_model(chain))
-    code, out, _ = run(capsys, "check", path, "<{a}: 2> (true U p)",
-                       "--engine", "symbolic", "--all-labels", "--json")
-    assert code == 0
-    labels = json.loads(out)["labels"]
-    assert labels["<{a}: 1> (true U p)"] == ["c1", "c2"]
-    assert labels["<{a}: 0> (true U p)"] == ["c2"]
-    assert list(labels)[-1] == "<{a}: 2> (true U p)"
+    printed = {}
+    for engine in ("tree", "symbolic"):
+        code, out, _ = run(capsys, "check", path, "<{a}: 2> (true U p)",
+                           "--engine", engine, "--all-labels", "--json")
+        assert code == 0
+        printed[engine] = json.loads(out)["labels"]
+    labels = printed["symbolic"]
+    assert list(labels) == list(printed["tree"]) == [
+        "true", "p", "<{a}: inf> (true U p)", "<{a}: 2> (true U p)"]
+    assert labels == printed["tree"]
+    assert labels["<{a}: 2> (true U p)"] == ["c0", "c1", "c2"]
 
 
 def test_model_round_trip_is_byte_identical(fig1, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from rbatl import (
     reduce_to_model,
     validate_model,
 )
+from rbatl.cli import main
 
 import modelgen
 
@@ -116,6 +118,19 @@ def test_net_serialization_round_trip(doubling):
     back = net_from_dict(data)
     assert net_to_dict(back) == data
     assert "arcs" in dump_net(doubling)
+
+
+@pytest.mark.parametrize("arcs", [5, None])
+def test_arcs_that_are_not_a_list_are_a_load_error(doubling, arcs, tmp_path,
+                                                   capsys):
+    data = dict(net_to_dict(doubling), arcs=arcs)
+    with pytest.raises(PetriError, match="arcs must be a list"):
+        net_from_dict(data)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    assert main(["petri", str(path), "--target", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "arcs must be a list" in err and "Traceback" not in err
 
 
 def test_net_from_dict_errors(doubling):

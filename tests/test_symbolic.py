@@ -13,7 +13,8 @@ from rbatl import (
     split,
 )
 from rbatl import checker
-from rbatl.formula import CoalitionUntil, sub_ordered, with_bound
+from rbatl.checker import SearchStats, label_all
+from rbatl.formula import CoalitionUntil, sub_ordered, sub_plus, with_bound
 from rbatl.symbolic import is_consumption_only
 
 import modelgen
@@ -47,6 +48,54 @@ def test_zero_inf_bound_cases(chain):
     assert rb_atl_label(chain, h)[h] == frozenset({"c2"})
 
 
+def _ladder(m, f, mode=Semantics.RBATL):
+    """The paper's bound ladder of f, labelled by the loop and on the
+    credits of `model_check`."""
+    return label_all(m, sub_plus(f), mode, SearchStats())
+
+
+def _two_resource_game():
+    """Consumption-only, one agent, two resources.  From s0, x (1,2)
+    leads to s1 and y (2,1) to the q-state s2; from s1, z (2,1) reaches
+    the p-state g.  Every state can idle for free."""
+    idle = (0, 0)
+    return Model(
+        agents=["a"], resources=["e", "f"], states=["s0", "s1", "s2", "g"],
+        labels={"p": ["g"], "q": ["s2"]},
+        actions={
+            "s0": {"a": {"idle": idle, "x": (1, 2), "y": (2, 1)}},
+            "s1": {"a": {"idle": idle, "z": (2, 1)}},
+            "s2": {"a": {"idle": idle, "w": (3, 0)}},
+            "g": {"a": {"idle": idle}},
+        },
+        transitions={
+            "s0": {("idle",): "s0", ("x",): "s1", ("y",): "s2"},
+            "s1": {("idle",): "s1", ("z",): "g"},
+            "s2": {("idle",): "s2", ("w",): "g"},
+            "g": {("idle",): "g"},
+        },
+        total=True,
+    )
+
+
+@pytest.mark.parametrize("text, want", [
+    ("<{a}: 3,3> (!q U p)", {"s0", "s1", "g"}),
+    ("<{a}: 2,2> (!q U p)", {"s1", "g"}),
+    ("<{a}: 2,1> G !p", {"s0", "s1", "s2"}),
+    ("<{a}: 3,3> G (q | <{a}: 2,2> (!q U p))", {"s1", "s2", "g"}),
+])
+def test_labels_only_the_closure(text, want):
+    # the symbolic map is model_check's: the subformulas and each all-INF
+    # guard, with no variant of the bound ladder
+    m = _two_resource_game()
+    assert is_consumption_only(m)
+    f = parse_formula(text)
+    labels = rb_atl_label(m, f)
+    assert list(labels) == sub_ordered(f)
+    assert labels == model_check(m, f)
+    assert labels[f] == want
+
+
 def test_goal_states_always_labelled(chain):
     # a goal state failing the invariant is still in the until label
     f = parse_formula("<{a}: 2> (false U p)")
@@ -56,12 +105,13 @@ def test_goal_states_always_labelled(chain):
 
 def test_ladder_uses_split_variants(chain):
     f = parse_formula("<{a}: 2> (true U p)")
-    labels = rb_atl_label(chain, f)
+    labels = _ladder(chain, f)
     texts = {t for t in (
         "<{a}: 0> (true U p)", "<{a}: 1> (true U p)", "<{a}: 2> (true U p)"
     )}
     for text in texts:
         assert parse_formula(text) in labels
+    assert all(with_bound(f, d) in labels for _, d in split(f.bound))
 
 
 def test_ladder_computes_each_guard_once(monkeypatch):
@@ -76,7 +126,7 @@ def test_ladder_computes_each_guard_once(monkeypatch):
 
     monkeypatch.setattr(checker, "_Credits", counted)
     f = parse_formula("<{a}: 3> (true U p)")
-    labels = rb_atl_label(modelgen.zero_cost_chain(6), f)
+    labels = _ladder(modelgen.zero_cost_chain(6), f)
     assert with_bound(f, (INF,)) in labels
     assert sorted(keys) == sorted({checker._credit_key(g) for g in labels
                                    if isinstance(g, CoalitionUntil)})
@@ -148,16 +198,21 @@ def _agreement_cases():
         yield modelgen.dead_end_always_game(), parse_formula("<{a}: 0> G true"), mode
 
 
-def _agree_with_ladder(m, f, mode, sym_labels):
-    """Every bounded until and always of the ladder against the split
-    ladder's reference, which shares no code with the credit engine; the
-    numbers of untils and of always compared."""
+def _agree_with_ladder(m, f, mode, tree_labels):
+    """Every bounded until and always of the ladder, labelled on the
+    credits, against the split ladder's reference, which shares no code
+    with the credit engine; the numbers of untils and of always compared.
+    The ladder's map agrees with `tree_labels` on the closure."""
+    ladder_labels = _ladder(m, f, mode)
+    for g in sub_ordered(f):
+        assert ladder_labels[g] == tree_labels[g], (mode, g)
     counts = []
     for reference in (ladder_until, ladder_always):
-        ladder = reference(m, f, sym_labels, mode)
+        ladder = reference(m, f, ladder_labels, mode)
         for g, want in ladder.items():
-            assert sym_labels[g] == want, (mode, g, sorted(sym_labels[g]),
-                                           sorted(want))
+            assert ladder_labels[g] == want, (mode, g,
+                                              sorted(ladder_labels[g]),
+                                              sorted(want))
         counts.append(len(ladder))
     return counts
 
@@ -170,7 +225,7 @@ def test_engine_agreement_random():
         for g in sub_ordered(f):
             assert tree_labels[g] == sym_labels[g], (
                 mode, g, sorted(tree_labels[g]), sorted(sym_labels[g]))
-        u, a = _agree_with_ladder(m, f, mode, sym_labels)
+        u, a = _agree_with_ladder(m, f, mode, tree_labels)
         untils += u
         always += a
     assert untils > 500
@@ -187,7 +242,7 @@ def test_engine_agreement_with_inf_components():
         sym_labels = rb_atl_label(m, f)
         for g in sub_ordered(f):
             assert tree_labels[g] == sym_labels[g]
-        u, a = _agree_with_ladder(m, f, Semantics.RBATL, sym_labels)
+        u, a = _agree_with_ladder(m, f, Semantics.RBATL, tree_labels)
         untils += u
         always += a
     assert untils > 20
@@ -196,7 +251,7 @@ def test_engine_agreement_with_inf_components():
 
 def test_label_monotone_across_ladder(chain):
     f = parse_formula("<{a}: 3> (true U p)")
-    labels = rb_atl_label(chain, f)
+    labels = _ladder(chain, f)
     prev = frozenset()
     for b in range(4):
         cur = labels[parse_formula("<{a}: %d> (true U p)" % b)]
@@ -210,7 +265,7 @@ def test_unit_cost_chain_ladder_of_201_bounds():
     n = 200
     m = modelgen.zero_cost_chain(n, cost=1)
     f = parse_formula("<{a}: 200> (true U p)")
-    labels = rb_atl_label(m, f)
+    labels = _ladder(m, f)
     for k in range(201):
         want = frozenset(f"c{i}" for i in range(n) if n - 1 - i <= k)
         assert labels[with_bound(f, (k,))] == want

@@ -302,6 +302,24 @@ def test_loader_rejects_names_that_are_not_strings(fig1):
             witness_from_dict(data)
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["root"]["action"].update(actions=["alpha"]),
+    lambda d: d["root"]["action"].update(actions=["alpha", "idle", "idle"]),
+    lambda d: d.pop("bound"),
+    lambda d: d.pop("coalition"),
+    lambda d: d.update(formula=5),
+    lambda d: d.update(formula=None),
+], ids=["fewer-actions", "more-actions", "no-bound", "no-coalition",
+        "formula-int", "formula-null"])
+def test_loader_rejects_malformed_top_level_and_actions(fig1, mutate):
+    _, _, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
+    data = witness_to_dict(tree)
+    assert len(data["root"]["action"]["agents"]) == 2
+    mutate(data)
+    with pytest.raises(WitnessError):
+        witness_from_dict(data)
+
+
 def test_loader_rejects_an_unknown_mode(fig1):
     _, _, tree = until_setup(fig1, "<{a1,a2}: 0,1> (true U p)", "s_I")
     for bad in ("bogus", 5, None):
