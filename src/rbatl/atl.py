@@ -212,18 +212,23 @@ class Arena:
 
 
 class Arenas:
-    """The arenas of one labelling call, one per normalised coalition."""
+    """The arenas of one labelling call, one per normalised coalition,
+    looked up by the coalition tuple asked for, which is normalised only
+    on its first lookup."""
 
     def __init__(self, m: Model, mode: Semantics):
         self.m = m
         self.mode = mode
-        self._by_agents: dict = {}
+        self._arenas: dict = {}
 
-    def __call__(self, coalition) -> Arena:
-        agents = self.m.normalize_coalition(coalition)
-        arena = self._by_agents.get(agents)
+    def __call__(self, coalition: tuple) -> Arena:
+        arena = self._arenas.get(coalition)
         if arena is None:
-            arena = self._by_agents[agents] = Arena(self.m, agents, self.mode)
+            agents = self.m.normalize_coalition(coalition)
+            arena = self._arenas.get(agents)
+            if arena is None:
+                arena = self._arenas[agents] = Arena(self.m, agents, self.mode)
+            self._arenas[coalition] = arena
         return arena
 
 

@@ -15,6 +15,11 @@ until starts from credit 0 on its goal states (a least fixpoint).  Each
 new credit keeps its move and comes from credits inserted before it, so
 the earliest-inserted credit below an availability gives a finite
 strategy: each outcome then has an earlier credit below what is left.
+So the untils with one coalition and one pair of arguments share one run
+over every component one of them bounds: a bound that is INF on a
+component reads the credits without it, and the all-INF bound holds
+wherever there is any credit (the "unknown initial credit" view of
+Chatterjee, Doyen, Henzinger and Raskin, FSTTCS 2010).
 An always starts from credit 0 on every state of its guard (a greatest
 fixpoint, as in the consumption games of Brázdil, Chatterjee, Kučera and
 Novotný, CAV 2012).  Where no move it reads produces on a finite
@@ -38,6 +43,7 @@ import bisect
 import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atl import Arena, Arenas, Semantics, check_inputs
 from .errors import EngineError, ModelError, VectorError
@@ -73,9 +79,10 @@ from .witness import (
 class SearchStats:
     """Instrumentation for the modalities (per model_check call).
 
-    `nodes` counts the credits inserted, for every until and always (one
-    per state of the label under the all-INF bound), and the nodes of the
-    always search; `max_depth` is the height of the tallest until
+    `nodes` counts the credits inserted, by one run per until's coalition
+    and arguments and one per always's credit key (an all-INF always
+    inserts one per state of its label), and the nodes of the always
+    search; `max_depth` is the height of the tallest until
     strategy or the depth of the deepest always search node.
     `pumps` and `cache_hits` belong to the pumping search the credits
     replaced and stay 0.
@@ -87,8 +94,7 @@ class SearchStats:
     cache_hits: int = 0
 
 
-@dataclass(frozen=True)
-class SearchNode:
+class SearchNode(NamedTuple):
     state: str
     avail: Vec
     path: tuple["SearchNode", ...] = ()
@@ -125,10 +131,10 @@ def _join(a: dict, b: dict) -> dict:
 
 
 def _guard(arena: Arena, f, labels):
-    """The label of f's all-INF variant when `labels` has it, which
-    `label_all` puts there first; else what f's arguments allow, hold or
-    goal for an until and the child for an always.  Either holds every
-    state where f does, so the credits are the same from both."""
+    """The label of f's all-INF variant when `labels` has it, as it has
+    for a bounded always in `label_all`; else what f's arguments allow,
+    hold or goal for an until and the child for an always.  Either holds
+    every state where f does, so the credits are the same from both."""
     guard = labels.get(with_bound(f, all_inf(arena.m.r)))
     if guard is not None:
         return guard
@@ -251,6 +257,16 @@ class _Credits:
     def holds(self, state: str, avail: Vec) -> bool:
         want = tuple(avail[i] for i in self.fin)
         return any(_leq(c, want) for c in self.minimal.get(state, ()))
+
+    def label(self, bound: Vec) -> frozenset[str]:
+        """The states with a credit under `bound`.  A component where
+        `bound` is INF asks for nothing, so under the all-INF bound these
+        are the states with any credit."""
+        want = tuple(bound[i] for i in self.fin)
+        if all(x is INF for x in want):
+            return frozenset(s for s, got in self.minimal.items() if got)
+        return frozenset(s for s, got in self.minimal.items()
+                         if any(_leq(c, want) for c in got))
 
     def strategy(self, state: str, avail: Vec) -> WitnessNode:
         """The certificate from (state, avail), which must hold: at each
@@ -393,8 +409,12 @@ def model_check(m: Model, f0: Formula, mode: Semantics = Semantics.RBATL, *,
 
 
 def _credit_key(f):
-    """Bounded modalities that differ only in their finite bound values
-    share one set of minimal credits."""
+    """Untils with the same coalition and arguments share one set of
+    minimal credits, whatever their bounds.  Always share one only when
+    they are INF on the same components, since capped credits do not give
+    an uncapped greatest fixpoint."""
+    if isinstance(f, CoalitionUntil):
+        return f.coalition, children(f)
     return f.coalition, children(f), tuple(b is INF for b in f.bound)
 
 
@@ -404,20 +424,24 @@ def label_all(m: Model, order, mode: Semantics, stats
     formula of `order`, every strict subformula and the all-INF variant of
     a bounded modality first.  The returned map is in `order`.
 
-    Untils and always that differ only in their finite bound values share
-    one set of minimal credits, and each reads its label off them.  An
-    always's credits are capped at the componentwise largest of those
-    bounds in `order`.  Equal labels are kept as one object, since the
-    variants of one modality often share them.
+    The modalities of one `_credit_key` share one set of minimal credits,
+    and each reads its label off them in one pass, an until's all-INF
+    guard included.  An until's credits range over every component that
+    some until of its key in `order` bounds; an always's are capped at
+    the componentwise largest of the bounds of its key in `order`.  Equal
+    labels are kept as one object, since the variants of one modality
+    often share them.
     """
     arenas = Arenas(m, mode)
     labels: dict[Formula, frozenset[str]] = {}
     credits: dict = {}
     caps: dict = {}
     for f in order:
-        if isinstance(f, CoalitionAlways):
+        if isinstance(f, (CoalitionUntil, CoalitionAlways)):
+            # an until's values do not matter, only which are finite
             key = _credit_key(f)
-            caps[key] = tuple(map(max, caps.get(key, f.bound), f.bound))
+            merge = min if isinstance(f, CoalitionUntil) else max
+            caps[key] = tuple(map(merge, caps.get(key, f.bound), f.bound))
     same: dict = {}
     for f in order:
         if not is_modal(f):
@@ -428,15 +452,17 @@ def label_all(m: Model, order, mode: Semantics, stats
             key = _credit_key(f)
             c = credits.get(key)
             if c is None:
+                # a key's first until finds no all-INF label to prune by,
+                # as that label is read off this run
                 c = credits[key] = _Credits(arenas(f.coalition), f, labels,
-                                            stats, caps.get(key, f.bound))
+                                            stats, caps[key])
             if c.minimal is None:  # an always whose moves produce
                 search = _Search(m, f, labels, mode, stats,
                                  arena=arenas(f.coalition))
                 x = frozenset(s for s in m.states
                               if search.box(node0(s, f.bound))[0])
             else:
-                x = frozenset(s for s in m.states if c.holds(s, f.bound))
+                x = c.label(f.bound)
         labels[f] = same.setdefault(x, x)
     return labels
 
@@ -472,8 +498,7 @@ def atl_label(m: Model, f: Formula, lower: dict,
     arena = Arena(m, f.coalition, mode)
     if isinstance(f, CoalitionNext):
         return arena.pre(lower[f.child], f.bound)
-    credits = _Credits(arena, f, lower, SearchStats(), f.bound)
-    return frozenset(s for s in m.states if credits.holds(s, f.bound))
+    return _Credits(arena, f, lower, SearchStats(), f.bound).label(f.bound)
 
 
 def eval_propositional(m: Model, f: Formula) -> frozenset[str]:

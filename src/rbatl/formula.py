@@ -223,10 +223,10 @@ def sub_ordered(root: Formula) -> list[Formula]:
 
 def sub_plus(root: Formula) -> list[Formula]:
     """`sub_ordered`'s closure plus the variants under every bound d' of a
-    split (d, d') of each bounded until/always, in the same order; within
-    one credit key (type, coalition, children, INF components) no bound
-    comes after a strictly larger one, so each variant is labelled before
-    any that reads it."""
+    split (d, d') of each bounded until/always, in the same order; among
+    the variants of one type, coalition, children and INF components no
+    bound comes after a strictly larger one, so each variant is labelled
+    before any that reads it."""
     return _closure(root, True)
 
 

@@ -283,7 +283,7 @@ def test_zero_cost_chain_of_2000_states():
     f = parse_formula("<{a}: 0> (true U p)")
     stats = SearchStats()
     assert model_check(m, f, stats=stats)[f] == m.state_set()
-    assert stats.nodes == 2 * n  # one credit per state, in f and its guard
+    assert stats.nodes == n  # one credit per state; the guard is read off it
 
 
 def test_zero_cost_chain_until_recomputes_each_state_once(monkeypatch):
@@ -308,10 +308,50 @@ def test_zero_cost_chain_until_recomputes_each_state_once(monkeypatch):
     f = parse_formula("<{a}: 0> (true U p)")
     assert model_check(m, f)[f] == m.state_set()
     solved = m.state_set() - m.proposition_states("p")
-    assert len(runs) == 2  # f and its guard
+    assert len(runs) == 1  # f's run also gives its guard
     for popped in runs:
         assert set(popped) == solved
         assert set(popped.values()) == {1}
+
+
+def test_bounded_until_reads_its_guard_off_its_own_run(monkeypatch):
+    # the all-INF variant is the set of states with any credit of the
+    # bounded until's run, so it runs no credits of its own
+    made = []
+    credits = checker._Credits
+
+    def counted(arena, f, *args):
+        made.append(f)
+        return credits(arena, f, *args)
+
+    monkeypatch.setattr(checker, "_Credits", counted)
+    m = modelgen.zero_cost_chain(6)
+    f = parse_formula("<{a}: 3> (true U p)")
+    labels = model_check(m, f)
+    assert len(made) == 1
+    assert labels[f] == labels[with_bound(f, (INF,))] == m.state_set()
+
+
+def test_untils_of_two_inf_patterns_read_one_run_exactly():
+    # the conjuncts share one run over both components, and each reads
+    # the label it has alone, where its run tracks only its finite one
+    f = parse_formula("<{a0}: 2,inf> (p U q) & <{a0}: inf,1> (p U q)")
+    rng = random.Random(43)
+    checked = pruned = 0
+    for i in range(200):
+        m = modelgen.random_model(rng, max_states=8, cost_hi=5,
+                                  total=i % 2 == 0)
+        cases = [m, modelgen.drop_transitions(rng, m)] if i % 3 == 0 else [m]
+        for case in cases:
+            for mode in Semantics:
+                labels = model_check(case, f, mode)
+                guard = labels[with_bound(f.left, all_inf(2))]
+                for g in (f.left, f.right):
+                    assert labels[g] == model_check(case, g, mode)[g], (
+                        i, mode, format_formula(g))
+                    checked += 1
+                    pruned += labels[g] != guard
+    assert checked >= 1500 and pruned >= 50  # bounds that bind
 
 
 def test_wrong_length_availability_raises(fig1):

@@ -174,9 +174,8 @@ def test_sub_plus_inf_bound_adds_nothing():
 
 def bound_monotone(order):
     """Whether each modality in order comes after its all-INF variant, and
-    each until/always after every variant of it with the same credit key
-    (type, coalition, children, INF components) and a pointwise smaller
-    bound.
+    each until/always after every variant of it with the same type,
+    coalition, children and INF components and a pointwise smaller bound.
 
     Per key, over the grid of the bounds' own component values,
     latest[v] is the largest index of a variant whose bound is <= v.
