@@ -26,7 +26,7 @@ import enum
 import itertools
 import operator
 
-from .errors import EngineError, FormulaError, ModelError, VectorError
+from .errors import FormulaError, ModelError, VectorError
 from .formula import Formula, Prop, children, format_formula, is_modal
 from .model import JointAction, Model, validate_model
 from .vectors import Vec, is_all_inf, vec_leq
@@ -36,13 +36,6 @@ class Semantics(enum.Enum):
     RBATL = "rbatl"
     NT = "nt"
     RAL_FINITE = "ral-finite"
-
-    @classmethod
-    def from_name(cls, name: str) -> "Semantics":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise EngineError(f"unknown semantics mode {name!r}")
 
 
 def consumption_joint(m: Model, state: str, ja: JointAction) -> Vec:

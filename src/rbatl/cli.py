@@ -63,7 +63,7 @@ def _sorted_states(m, states):
 def cmd_check(args) -> int:
     m = load_model(args.model)
     f0 = parse_formula(_read_formula_arg(args.formula))
-    mode = Semantics.from_name(args.semantics)
+    mode = Semantics(args.semantics)
     if args.state is not None and args.state not in m.states:
         raise RBATLError(f"unknown state {args.state!r}")
     stats = SearchStats()

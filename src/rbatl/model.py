@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .vectors import Vec, is_cost_vec, vec_add, zeros
+from .vectors import Vec, is_cost_vec, zeros
 
 IDLE = "idle"
 
@@ -105,13 +105,6 @@ class Model:
         agents = self.normalize_coalition(coalition)
         menus = [self.available(state, a) for a in agents]
         return [JointAction(agents, combo) for combo in itertools.product(*menus)]
-
-    def cost_joint(self, state: str, ja: JointAction) -> Vec:
-        """Componentwise sum of the members' action costs."""
-        total = self.zero_cost()
-        for agent, action in zip(ja.agents, ja.actions):
-            total = vec_add(total, self.cost(state, agent, action))
-        return total
 
     def outcomes(self, state: str, ja: JointAction) -> list[str]:
         """Successor states over all opponent completions of ja, in declared

@@ -195,6 +195,11 @@ def net_from_dict(data) -> PetriNet:
     for name, coll in (("places", places), ("transitions", transitions)):
         if not isinstance(coll, list) or not all(isinstance(x, str) for x in coll):
             raise PetriError(f"{name} must be a list of strings")
+        seen = set()
+        for x in coll:
+            if x in seen:
+                raise PetriError(f"{name} must be distinct: {x!r} repeats")
+            seen.add(x)
     if set(places) & set(transitions):
         raise PetriError("places and transitions must be disjoint")
     marking = data.get("marking")

@@ -114,11 +114,6 @@ def vec_geq(x: Vec, y: Vec) -> bool:
     return vec_leq(y, x)
 
 
-def vec_add(x: Vec, y: Vec) -> Vec:
-    _check_lengths(x, y)
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def bound_minus_cost(e: Vec, k: Vec) -> Vec | None:
     """Availability after paying k: pointwise e - k with INF absorbing.
 
@@ -139,17 +134,9 @@ def bound_minus_cost(e: Vec, k: Vec) -> Vec | None:
     return tuple(out)
 
 
-def _component_key_inf_last(x):
-    return (1, 0) if x is INF else (0, x)
-
-
-def vec_sort_key(v: Vec) -> tuple:
-    """Total order on bound vectors that linearly extends pointwise <=."""
-    return tuple(_component_key_inf_last(x) for x in v)
-
-
 def split(bound: Vec) -> list[tuple[Vec, Vec]]:
-    """All (d, d') with d + d' = bound, ordered by increasing d'.
+    """All (d, d') with d + d' = bound, in lexicographic order of d', so
+    a pointwise smaller d' comes first.
 
     Components where bound is INF are forced to INF on both sides.  d must
     have at least one non-zero finite component, which excludes exactly the
@@ -167,5 +154,4 @@ def split(bound: Vec) -> list[tuple[Vec, Vec]]:
         if not any(x is not INF and x > 0 for x in d):
             continue
         pairs.append((d, dprime))
-    pairs.sort(key=lambda p: vec_sort_key(p[1]))
     return pairs

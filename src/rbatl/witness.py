@@ -10,6 +10,10 @@ Format v1 writes that availability twice, as `entry_avail` and `avail`,
 beside an empty `pumped` object.  Older versions also wrote pumping
 records and all-infinity leaves, which are not replayed: the loader
 refuses them, and any entry availability other than the availability.
+The layout is written down once, in `_header` and `_node_fields`.
+`witness_to_dict` builds the whole object from them; `dump_witness`
+writes the same object as compact JSON, one node at a time through the
+stdlib encoder, so a tree of any depth can be written.
 
 Box certificates end in loopback leaves, validated against their ancestor
 on the path.
@@ -181,7 +185,8 @@ def _node_from_dict(data) -> WitnessNode:
     return top[None]
 
 
-def witness_to_dict(tree: WitnessTree) -> dict:
+def _header(tree: WitnessTree) -> dict:
+    """The certificate's object without its root."""
     return {
         "format_version": FORMAT_VERSION,
         "kind": tree.kind,
@@ -189,8 +194,13 @@ def witness_to_dict(tree: WitnessTree) -> dict:
         "bound": _vec_to_json(tree.bound),
         "mode": tree.mode.value,
         "formula": tree.formula,
-        "root": _node_to_dict(tree.root),
     }
+
+
+def witness_to_dict(tree: WitnessTree) -> dict:
+    data = _header(tree)
+    data["root"] = _node_to_dict(tree.root)
+    return data
 
 
 def witness_from_dict(data) -> WitnessTree:
@@ -222,65 +232,39 @@ def witness_from_dict(data) -> WitnessTree:
     )
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_SCALAR_TEXT = {str: _encode_str, int: int.__repr__,
-                type(None): lambda _: "null"}
-_END = object()
-
-
-def _json_text(value) -> str:
-    """`json.dumps(value, separators=(",", ":"))` for the values of
-    `witness_to_dict`, with the open containers on an explicit stack, so
-    any depth can be written."""
-    scalar_text = _SCALAR_TEXT
-    out = []
-    frames = []  # open containers: [items, is_dict, separator, close]
-    while True:
-        cls = value.__class__
-        if cls is dict or cls is list:
-            if not value:
-                out.append("{}" if cls is dict else "[]")
-            else:
-                texts = None
-                if cls is list:
-                    try:
-                        texts = [scalar_text[x.__class__](x) for x in value]
-                    except KeyError:
-                        pass
-                if texts is not None:
-                    out.append("[" + ",".join(texts) + "]")
-                else:
-                    is_dict = cls is dict
-                    out.append("{" if is_dict else "[")
-                    frames.append([iter(value.items() if is_dict else value),
-                                   is_dict, "", "}" if is_dict else "]"])
-        else:
-            try:
-                out.append(scalar_text[cls](value))
-            except KeyError:
-                raise TypeError(f"{cls.__name__} is not part of witness "
-                                "format v1") from None
-        while frames:
-            frame = frames[-1]
-            item = next(frame[0], _END)
-            if item is _END:
-                out.append(frame[3])
-                frames.pop()
-                continue
-            if frame[1]:
-                key, value = item
-                out.append(frame[2] + _encode_str(key) + ":")
-            else:
-                value = item
-                out.append(frame[2])
-            frame[2] = ","
-            break
-        else:
-            return "".join(out)
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_CHILDREN = '"children":{'
 
 
 def dump_witness(tree: WitnessTree) -> str:
-    return _json_text(witness_to_dict(tree)) + "\n"
+    """`json.dumps(witness_to_dict(tree), separators=(",", ":"))` and a
+    newline, written node by node with an explicit stack, so any depth can
+    be written.
+
+    Each node's own fields are encoded with the children left empty, and
+    the children's text goes in after the node's `"children":{`.  The
+    encoder escapes every quote inside a string, so that text can only be
+    the node's own key.
+    """
+    out = [_encode(_header(tree))[:-1], ',"root":']
+    stack = [tree.root]  # nodes to write, and the text between and after them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        text = _encode(_node_fields(item))
+        if not item.children:
+            out.append(text)
+            continue
+        cut = text.index(_CHILDREN) + len(_CHILDREN)
+        out.append(text[:cut])
+        stack.append(text[cut:])
+        for state, child in reversed(item.children.items()):
+            stack += (child, _encode(state) + ":", ",")
+        stack.pop()  # no comma before the first child
+    out.append("}\n")
+    return "".join(out)
 
 
 def load_witness(path) -> WitnessTree:

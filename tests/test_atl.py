@@ -18,7 +18,7 @@ from rbatl import (
     pre,
     rb_atl_label,
 )
-from rbatl.atl import Arena, consumption_joint, move, moves
+from rbatl.atl import Arena, consumption_joint, move, moves, step_costs
 from rbatl.formula import sub_ordered
 from rbatl.model import JointAction
 from rbatl.vectors import all_inf
@@ -104,7 +104,7 @@ def test_pre_nt_requires_outcomes(fig4):
 
 def test_consumption_joint(fig4):
     move = JointAction(("a", "b"), ("alpha", "beta"))
-    assert fig4.cost_joint("s", move) == (0,)
+    assert step_costs(fig4, "s", move, Semantics.RBATL)[0] == (0,)
     assert consumption_joint(fig4, "s", move) == (1,)
 
 

@@ -133,6 +133,24 @@ def test_arcs_that_are_not_a_list_are_a_load_error(doubling, arcs, tmp_path,
     assert "arcs must be a list" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("places, transitions", [
+    (["p", "p"], ["t"]), (["p"], ["t", "t"]), (["p", "p"], ["t", "t"])])
+def test_duplicate_names_are_a_load_error(places, transitions, tmp_path,
+                                          capsys):
+    data = {"format_version": 1, "places": places, "transitions": transitions,
+            "arcs": [], "marking": [0] * len(places)}
+    with pytest.raises(PetriError, match="must be distinct"):
+        net_from_dict(data)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    model_path = tmp_path / "reduced.json"
+    assert main(["petri", str(path), "--target", ",".join("1" * len(places)),
+                 "--model-out", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be distinct" in err and "Traceback" not in err
+    assert not model_path.exists()
+
+
 def test_net_from_dict_errors(doubling):
     with pytest.raises(PetriError):
         net_from_dict({"format_version": 99})

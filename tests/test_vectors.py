@@ -1,3 +1,6 @@
+import math
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,9 +10,7 @@ from rbatl.vectors import (
     is_bound_vec,
     is_cost_vec,
     split,
-    vec_add,
     vec_geq,
-    vec_sort_key,
 )
 
 scalars = st.one_of(st.integers(min_value=0, max_value=20), st.just(INF))
@@ -67,17 +68,9 @@ def test_minus_cost_composes(e, k1, k2):
     lhs = bound_minus_cost(e, k1)
     if lhs is not None:
         lhs = bound_minus_cost(lhs, k2)
-    rhs = bound_minus_cost(e, vec_add(k1, k2))
+    rhs = bound_minus_cost(e, tuple(map(operator.add, k1, k2)))
     if lhs is not None and rhs is not None:
         assert lhs == rhs
-
-
-@given(bounds, bounds)
-def test_sort_key_extends_pointwise_order(x, y):
-    n = min(len(x), len(y))
-    x, y = x[:n], y[:n]
-    if vec_leq(x, y) and x != y:
-        assert vec_sort_key(x) < vec_sort_key(y)
 
 
 def test_split_examples():
@@ -88,18 +81,18 @@ def test_split_examples():
 
 
 def test_split_general_properties():
-    b = (2, 1, INF)
-    pairs = split(b)
-    assert len(pairs) == len({dp for _, dp in pairs})  # duplicate-free
-    assert len(pairs) == (2 + 1) * (1 + 1) - 1
-    for d, dp in pairs:
-        assert vec_add_with_inf(d, dp) == b
-        assert any(x is not INF and x > 0 for x in d)
-        assert all((x is INF) == (y is INF) for x, y in zip(d, b))
-    # increasing second component: any pointwise-smaller d' comes earlier
-    for i, (_, dp1) in enumerate(pairs):
-        for _, dp2 in pairs[i + 1:]:
-            assert not (vec_leq(dp2, dp1) and dp2 != dp1)
+    for b in [(2, 1, INF), (INF, 2, 1), (1, INF, 2), (3,), (2, 2)]:
+        pairs = split(b)
+        assert len(pairs) == len({dp for _, dp in pairs})  # duplicate-free
+        assert len(pairs) == math.prod(x + 1 for x in b if x is not INF) - 1
+        for d, dp in pairs:
+            assert vec_add_with_inf(d, dp) == b
+            assert any(x is not INF and x > 0 for x in d)
+            assert all((x is INF) == (y is INF) for x, y in zip(d, b))
+        # increasing second component: any pointwise-smaller d' comes earlier
+        for i, (_, dp1) in enumerate(pairs):
+            for _, dp2 in pairs[i + 1:]:
+                assert not (vec_leq(dp2, dp1) and dp2 != dp1)
 
 
 def vec_add_with_inf(x, y):

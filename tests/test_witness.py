@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -67,11 +68,15 @@ def test_pumped_witness_unrolls_to_four_traversals(fig1):
 
 def test_deep_certificates_build_and_validate(fig1):
     # both trees are thousands of nodes deep: building and checking them
-    # must not recurse once per level
+    # must not recurse once per level.  They are too deep for the stdlib
+    # encoder to compare with, so their text is pinned by size and sha256.
     cases = [(modelgen.fig1_with_gamma(fig1, 1000),
-              "<{a1,a2}: 0,1> (true U p)", "s_I"),
-             (modelgen.zero_cost_chain(2000), "<{a}: 0> (true U p)", "c0")]
-    for m, text, state in cases:
+              "<{a1,a2}: 0,1> (true U p)", "s_I", 318_502,
+              "a6d302aacd67a839450d6ede752a2719d3f9ba8bada8393022aa7af3e7da3156"),
+             (modelgen.zero_cost_chain(2000), "<{a}: 0> (true U p)", "c0",
+              281_867,
+              "26de729b4f79517c160b1206e5b6acdcfa9eb719cf5d9a9f4404af5fc915306b")]
+    for m, text, state, size, sha256 in cases:
         f, labels, tree = until_setup(m, text, state)
         assert max(_depths(tree.root)) >= 1999
         assert validate_witness(m, tree, phi_states=labels[f.hold],
@@ -81,6 +86,9 @@ def test_deep_certificates_build_and_validate(fig1):
         text = dump_witness(tree)
         assert text.startswith('{"format_version":1,"kind":"until",')
         assert text.endswith('"pumped":{}}}\n')
+        data = text.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def assert_stdlib_bytes(tree):
@@ -116,6 +124,7 @@ def test_hand_built_dumps_match_the_stdlib_encoder():
                            children={c.state: c for c in children}, **extra)
 
     odd = 'say "hi"\\ é ∞ \n'  # quotes, backslash, non-ASCII, control
+    splice, root = '"children":{}', 'x"children":{},"root":{'
     go = JointAction(("a",), ("go",))
     loop = node("u", (1, INF), action=go, children=[
         node("v", (0, INF), kind=LOOPBACK_LEAF, loopback=0),
@@ -128,6 +137,12 @@ def test_hand_built_dumps_match_the_stdlib_encoder():
                     node(odd, (), kind=PSI_LEAF)),
         WitnessTree("until", (), (0,), Semantics.RBATL, "",
                     node("s", (0,), action=JointAction((), ()))),
+        # text the writer splices at, inside names and the formula
+        WitnessTree("until", (splice,), (2,), Semantics.RBATL,
+                    f'<{{a}}: 2> ({splice} U "root":)',
+                    node(splice, (2,), action=JointAction((splice,), (root,)),
+                         children=[node(root, (1,), kind=PSI_LEAF),
+                                   node('"root":{}', (1,), kind=PSI_LEAF)])),
     ]
     for tree in trees:
         assert_stdlib_bytes(tree)
